@@ -161,8 +161,9 @@ KeyResult compute_key(const rt::Task& task, const std::vector<std::uint32_t>& or
   const ConcatView view(task);
   const std::size_t count = selection_count(view.total(), p);
   // Gather selected bytes into a small staging buffer so the hash core can
-  // consume whole blocks; the scattered reads dominate anyway (the paper
-  // observes hash-key computation is memory-bound, §V-C).
+  // consume whole stripes. Measured (docs/DESIGN.md §2): full-input keys
+  // are compute-bound, set by the hash core's throughput on cache-resident
+  // inputs, while sampled keys are bound by this per-byte gather.
   std::uint8_t staging[512];
   std::size_t fill = 0;
   std::size_t oob = 0;

@@ -12,7 +12,7 @@
 //   u32          format version (kFormatVersion)
 //   u32          endianness marker (kEndianMarker, byte-order sentinel)
 //   u64          payload size in bytes
-//   u64          lookup3 checksum of the payload (seed kChecksumSeed)
+//   u64          HashStream digest of the payload (seed kChecksumSeed)
 //   payload:
 //     u32 n_controllers { u32 type_id, u8 steady, u64 p_bits, u64 trained }
 //     u64 n_l1 entries, u64 n_l2 entries, then each entry:
@@ -37,7 +37,10 @@ inline constexpr char kMagic[8] = {'A', 'T', 'M', 'S', 'T', 'O', 'R', '\0'};
 /// so they are rejected instead (a cold start, reported to the user).
 /// v3: the previously-reserved header word became the endianness marker, so
 /// a snapshot moved across byte orders fails with a precise diagnostic.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: HashStream became a 4-lane 64-bit stripe hash, which changes both the
+/// payload checksum and every stored THT/L2 key. A v3 file is rejected on its
+/// version, before its (now meaningless) checksum is compared.
+inline constexpr std::uint32_t kFormatVersion = 4;
 /// Written native; reads back byte-swapped on a foreign-endian host.
 inline constexpr std::uint32_t kEndianMarker = 0x01020304u;
 inline constexpr std::uint64_t kChecksumSeed = 0xa7151e57ULL;

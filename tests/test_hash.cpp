@@ -1,8 +1,9 @@
-// Unit and property tests for the lookup3-style hash (common/hash.hpp):
-// determinism, chunking invariance, length binding, seed sensitivity,
-// avalanche behaviour and bucket uniformity — the statistical properties
-// ATM's key generation relies on (docs/DESIGN.md §2: validated by properties, not
-// canonical vectors).
+// Unit and property tests for the 4-lane 64-bit stripe hash
+// (common/hash.hpp): determinism, chunking invariance, length binding, seed
+// sensitivity, avalanche behaviour and bucket uniformity — the statistical
+// properties ATM's key generation relies on (docs/DESIGN.md §2: validated by
+// properties, not canonical vectors). Sizes and chunkings straddle both the
+// under-32-byte path and the 32-byte stripe boundary.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -41,10 +42,10 @@ TEST(Hash, EmptyInputIsValid) {
 }
 
 TEST(Hash, ChunkingDoesNotAffectDigest) {
-  const auto data = random_bytes(997, 3);  // prime size: exercises tails
+  const auto data = random_bytes(9973, 3);  // prime size: exercises tails
   const HashKey whole = hash_bytes(data);
 
-  for (std::size_t chunk : {1u, 2u, 3u, 7u, 11u, 12u, 13u, 64u, 500u}) {
+  for (std::size_t chunk : {1u, 2u, 3u, 7u, 11u, 12u, 13u, 31u, 32u, 33u, 64u, 500u, 4096u}) {
     HashStream s;
     std::size_t off = 0;
     while (off < data.size()) {
@@ -114,25 +115,57 @@ TEST(Hash, AvalancheSingleBitFlip) {
   EXPECT_LT(mean, 40.0);
 }
 
+TEST(Hash, AvalancheEveryStripeLaneOfBsReuseKey) {
+  // A 12,000-byte message is the bs-reuse key size. Flip one bit in each of
+  // the four 8-byte lanes of several stripes (first, interior, last whole
+  // stripe): a lane that is dropped or mis-merged would show up as a lane
+  // whose flips do not change the digest or change too few output bits.
+  constexpr std::size_t kSize = 12000;
+  constexpr std::size_t kStripe = 32;
+  const auto base = random_bytes(kSize, 12);
+  const HashKey k0 = hash_bytes(base);
+  Rng rng(13);
+  for (const std::size_t stripe : {std::size_t{0}, kSize / kStripe / 2, kSize / kStripe - 1}) {
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      double total_flips = 0.0;
+      constexpr int kTrials = 64;
+      for (int t = 0; t < kTrials; ++t) {
+        auto mutated = base;
+        const std::size_t byte = stripe * kStripe + lane * 8 + rng.next_below(8);
+        mutated[byte] = static_cast<std::uint8_t>(mutated[byte] ^ (1u << rng.next_below(8)));
+        const HashKey k = hash_bytes(mutated);
+        ASSERT_NE(k0, k) << "stripe " << stripe << " lane " << lane;
+        total_flips += std::popcount(k0 ^ k);
+      }
+      const double mean = total_flips / kTrials;
+      EXPECT_GT(mean, 24.0) << "stripe " << stripe << " lane " << lane;
+      EXPECT_LT(mean, 40.0) << "stripe " << stripe << " lane " << lane;
+    }
+  }
+}
+
 TEST(Hash, BucketUniformityLowBits) {
   // ATM indexes the THT with the low N bits (paper §III-A): the low byte
-  // must be close to uniform over random messages.
+  // must be close to uniform over random messages, both below the stripe
+  // size (24 B) and through the four lanes (96 B).
   constexpr int kBuckets = 256;
   constexpr int kSamples = 256 * 64;
-  std::vector<int> counts(kBuckets, 0);
-  Rng rng(9);
-  for (int i = 0; i < kSamples; ++i) {
-    const auto data = random_bytes(24, rng.next_u64());
-    ++counts[hash_bytes(data) & (kBuckets - 1)];
+  for (const std::size_t size : {24u, 96u}) {
+    std::vector<int> counts(kBuckets, 0);
+    Rng rng(9);
+    for (int i = 0; i < kSamples; ++i) {
+      const auto data = random_bytes(size, rng.next_u64());
+      ++counts[hash_bytes(data) & (kBuckets - 1)];
+    }
+    const double expected = static_cast<double>(kSamples) / kBuckets;
+    double chi2 = 0.0;
+    for (int c : counts) {
+      const double d = c - expected;
+      chi2 += d * d / expected;
+    }
+    // dof = 255; mean 255, stddev ~22.6. 5 sigma ~ 368.
+    EXPECT_LT(chi2, 380.0) << "message size " << size;
   }
-  const double expected = static_cast<double>(kSamples) / kBuckets;
-  double chi2 = 0.0;
-  for (int c : counts) {
-    const double d = c - expected;
-    chi2 += d * d / expected;
-  }
-  // dof = 255; mean 255, stddev ~22.6. 5 sigma ~ 368.
-  EXPECT_LT(chi2, 380.0);
 }
 
 TEST(Hash, NoCollisionsInModestKeySpace) {
@@ -157,13 +190,17 @@ TEST(Splitmix, KnownProperties) {
 class HashSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(HashSizeSweep, TailHandlingAllResidues) {
-  // Sizes covering every residue mod 12 (the block size): the digest must
-  // be stable under re-chunking and unique per content.
+  // Every length 0-33 (the under-32-byte path and the first stripe
+  // boundary), 63/64/65 (the second boundary) and 12,000 (the bs-reuse key
+  // size): the digest must be deterministic and change with the content.
   const std::size_t n = GetParam();
   const auto a = random_bytes(n, 11 + n);
   auto b = a;
   const HashKey ka = hash_bytes(a);
   EXPECT_EQ(ka, hash_bytes(b));
+  HashStream bytewise;
+  for (std::uint8_t byte : a) bytewise.update(byte);
+  EXPECT_EQ(ka, bytewise.finalize());
   if (n > 0) {
     b[n / 2] ^= 0x01;
     EXPECT_NE(ka, hash_bytes(b));
@@ -171,8 +208,10 @@ TEST_P(HashSizeSweep, TailHandlingAllResidues) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllResidues, HashSizeSweep,
-                         ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                           13, 23, 24, 25, 100, 1000, 4096));
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                           14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+                                           25, 26, 27, 28, 29, 30, 31, 32, 33, 63, 64, 65,
+                                           100, 1000, 4096, 12000));
 
 }  // namespace
 }  // namespace atm

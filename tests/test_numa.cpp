@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/numa.hpp"
+#include "per_test_path.hpp"
 #include "runtime/runtime.hpp"
 
 namespace atm {
@@ -17,10 +18,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Scoped fake /sys/devices/system/node tree under the system temp dir.
+/// Scoped fake /sys/devices/system/node tree under the system temp dir, one
+/// directory per test case so parallel ctest processes never share it.
 class MockSysfs {
  public:
-  MockSysfs() : root_(fs::temp_directory_path() / "atm_numa_mock_test") {
+  MockSysfs() : root_(fs::temp_directory_path() / per_test_name("atm_numa_mock")) {
     fs::remove_all(root_);
     fs::create_directories(root_);
   }

@@ -6,10 +6,12 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "common/rng.hpp"
+#include "per_test_path.hpp"
 #include "store/l2_store.hpp"
 #include "store/rle_codec.hpp"
 #include "store/snapshot_io.hpp"
@@ -223,9 +225,7 @@ class SnapshotIoTest : public ::testing::Test {
   void SetUp() override {
     // One file per test case: ctest runs gtest cases as separate parallel
     // processes in the same directory, so a shared fixture path races.
-    path_ = std::string("test_store_snapshot_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".atmstore";
+    path_ = per_test_name("test_store_snapshot") + ".atmstore";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -242,7 +242,7 @@ class SnapshotIoTest : public ::testing::Test {
     return image;
   }
 
-  std::string path_ = "test_store_snapshot.atmstore";
+  std::string path_;
 };
 
 TEST_F(SnapshotIoTest, SaveLoadRoundtrip) {
@@ -439,6 +439,27 @@ TEST_F(SnapshotIoTest, WrongVersionDiagnosticNamesBothVersions) {
   EXPECT_FALSE(load(path_, &error).has_value());
   EXPECT_NE(error.find(std::to_string(kFormatVersion - 1)), std::string::npos) << error;
   EXPECT_NE(error.find(std::to_string(kFormatVersion)), std::string::npos) << error;
+}
+
+TEST_F(SnapshotIoTest, Version3ImageIsRejectedOnVersionNotChecksum) {
+  // v3 images carry checksums and keys from the previous hash. Such a file
+  // must fail on its version, so the user is told to regenerate it rather
+  // than that it is corrupt.
+  ASSERT_TRUE(save(path_, sample_image()));
+  std::vector<std::uint8_t> v3 = read_file(path_);
+  const std::uint32_t version = 3;
+  std::memcpy(v3.data() + 8, &version, sizeof version);  // native-endian, after the magic
+  for (std::size_t i = 24; i < 32; ++i) v3[i] ^= 0x5A;   // a digest from another hash
+  write_file(path_, v3);
+
+  std::string error;
+  EXPECT_FALSE(load(path_, &error).has_value());
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  EXPECT_EQ(error.find("checksum"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(validate(path_, &error));
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  EXPECT_EQ(error.find("checksum"), std::string::npos) << error;
 }
 
 }  // namespace

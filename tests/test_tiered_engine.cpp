@@ -14,6 +14,7 @@
 #include "apps/app_registry.hpp"
 #include "atm/engine.hpp"
 #include "atm/tht.hpp"
+#include "per_test_path.hpp"
 
 namespace atm {
 namespace {
@@ -147,8 +148,12 @@ SyntheticResult run_scan_workload(AtmEngine* engine, bool compressible = false) 
                        }
                      },
                      {rt::in(in, kInputWords), rt::out(out, kOutputWords)});
+      // One task at a time: lookups and inserts then happen in submission
+      // order. With several tasks in flight, the worker and the helping
+      // master run them in a timing-dependent order, and a reordered round
+      // can revisit a key the FIFO L1 still holds.
+      runtime.taskwait();
     }
-    runtime.taskwait();  // one round at a time: revisits are cross-round
   }
 
   for (std::size_t r = 0; r < kRounds && result.outputs_correct; ++r) {
@@ -180,8 +185,11 @@ AtmConfig scan_config(bool l2, bool compress = false) {
 
 class TieredEngineTest : public ::testing::Test {
  protected:
+  // One file per test case: ctest runs gtest cases as separate parallel
+  // processes in the same directory, so a shared fixture path races.
+  void SetUp() override { store_path_ = per_test_name("test_tiered_engine") + ".atmstore"; }
   void TearDown() override { std::remove(store_path_.c_str()); }
-  std::string store_path_ = "test_tiered_engine.atmstore";
+  std::string store_path_;
 };
 
 // Acceptance (b): with the L2 tier, the same tiny L1 yields a strictly
