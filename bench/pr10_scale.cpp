@@ -8,17 +8,16 @@
 //   pr10_scale [--out=PATH]     (default: JSON to stdout)
 //
 // Sections:
-//   sched_storm_{central,steal}_tN   fine-grained task storm, ns per task —
+//   sched_storm_{central,steal}_t{1,4}
+//                                    fine-grained task storm, ns per task —
 //                                    same harness and names as
 //                                    BENCH_pr5/pr7.json (t1/t4 continuity
 //                                    gate: <= 1.03x regression vs PR 9)
-//   sched_storm_steal_oversub_tN     2x-hardware and 8-lane storm configs,
-//                                    the steal-half/backoff win surface
+//   sched_storm_steal_oversub_t{8,16}
+//                                    8- and 16-lane storm configs, the
+//                                    steal-half/backoff win surface
 //                                    (>= 1.15x vs the PR 9 binary in the
 //                                    interleaved cross-build A/B)
-//   sched_storm_steal_numa_*         oversubscribed storm with --numa
-//                                    interleave vs off: single-node hosts
-//                                    must measure ~1.0x (silent no-op gate)
 //   sched_acquire_storm_lN           scheduler-level contended acquisition
 //                                    storm (producer lane + N-1 thieves,
 //                                    tasks acquired but never executed):
@@ -29,11 +28,16 @@
 //                                    the cross-build A/B surface where the
 //                                    steal-half >= 1.15x gate is measured
 //   sched_steal_batch_*              steal-batch-size histogram stats from
-//                                    an oversubscribed storm (mean > 1
+//                                    the 16-lane storm (mean > 1
 //                                    proves batched transfer engages)
 //   sched_victim_distance_p50        victim-distance histogram median (low
 //                                    = locality-ordered rings keep steals
 //                                    near)
+//
+// Lane counts are fixed, not derived from hardware_concurrency(), so every
+// host writes the same bench names (the host's thread count is recorded in
+// "hardware_threads"). On a host with fewer cores than lanes the storms
+// time-slice rather than contend in parallel.
 //
 // All storm configs within one section run INTERLEAVED (round-robin one rep
 // of each config per round) so machine drift lands on every config equally
@@ -195,55 +199,41 @@ int main(int argc, char** argv) {
   std::vector<Entry> entries;
 
   // --- Continuity storms (t1/t4 names match BENCH_pr5/pr7.json) -------------
-  // One interleaved block over all four configs: central/steal at hw and at
-  // the contended count, so the continuity ratios are drift-free.
-  const unsigned contended = std::max(4u, hw);
+  // One interleaved block over all four configs: central/steal at one and at
+  // four lanes, so the continuity ratios are drift-free.
   {
     const std::vector<rt::RuntimeConfig> cfgs = {
-        {.num_threads = hw, .sched = rt::SchedPolicy::Central},
-        {.num_threads = hw, .sched = rt::SchedPolicy::Steal},
-        {.num_threads = contended, .sched = rt::SchedPolicy::Central},
-        {.num_threads = contended, .sched = rt::SchedPolicy::Steal},
+        {.num_threads = 1, .sched = rt::SchedPolicy::Central},
+        {.num_threads = 1, .sched = rt::SchedPolicy::Steal},
+        {.num_threads = 4, .sched = rt::SchedPolicy::Central},
+        {.num_threads = 4, .sched = rt::SchedPolicy::Steal},
     };
     const std::vector<double> rates =
         sched_storm_medians_interleaved(cfgs, kStormTasks, kStormWaves, reps);
-    entries.push_back({"sched_storm_central_t" + std::to_string(hw), 1e9 / rates[0]});
-    entries.push_back({"sched_storm_steal_t" + std::to_string(hw), 1e9 / rates[1]});
-    entries.push_back(
-        {"sched_storm_central_t" + std::to_string(contended), 1e9 / rates[2]});
-    entries.push_back(
-        {"sched_storm_steal_t" + std::to_string(contended), 1e9 / rates[3]});
+    entries.push_back({"sched_storm_central_t1", 1e9 / rates[0]});
+    entries.push_back({"sched_storm_steal_t1", 1e9 / rates[1]});
+    entries.push_back({"sched_storm_central_t4", 1e9 / rates[2]});
+    entries.push_back({"sched_storm_steal_t4", 1e9 / rates[3]});
   }
 
   // --- Oversubscribed / high-lane-count storms (the PR 10 win surface) ------
-  // workers >= 2x cores: lanes time-slice, so every wasted steal sweep burns
-  // a quantum some other lane needed. 8 lanes exercises wide victim rings
-  // even on small hosts.
-  const unsigned oversub = 2 * hw;
-  const unsigned wide = std::max(8u, oversub);
-  double oversub_ns = 0.0, wide_ns = 0.0, numa_off_ns = 0.0, numa_on_ns = 0.0;
+  // More lanes than cores: lanes time-slice, so every wasted steal sweep
+  // burns a quantum some other lane needed. 16 lanes exercises wide victim
+  // rings.
+  constexpr unsigned kOversub = 8;
+  constexpr unsigned kWide = 16;
+  double oversub_ns = 0.0, wide_ns = 0.0;
   {
-    rt::RuntimeConfig numa_off{.num_threads = oversub, .sched = rt::SchedPolicy::Steal};
-    rt::RuntimeConfig numa_on = numa_off;
-    numa_on.numa_policy = NumaPolicy::Interleave;
     const std::vector<rt::RuntimeConfig> cfgs = {
-        numa_off,
-        {.num_threads = wide, .sched = rt::SchedPolicy::Steal},
-        numa_on,
+        {.num_threads = kOversub, .sched = rt::SchedPolicy::Steal},
+        {.num_threads = kWide, .sched = rt::SchedPolicy::Steal},
     };
     const std::vector<double> rates =
         sched_storm_medians_interleaved(cfgs, kStormTasks, kStormWaves, reps);
     oversub_ns = 1e9 / rates[0];
     wide_ns = 1e9 / rates[1];
-    numa_on_ns = 1e9 / rates[2];
-    numa_off_ns = oversub_ns;  // same config, same interleaved block
-    entries.push_back(
-        {"sched_storm_steal_oversub_t" + std::to_string(oversub), oversub_ns});
-    entries.push_back({"sched_storm_steal_oversub_t" + std::to_string(wide), wide_ns});
-    entries.push_back({"sched_storm_steal_numa_off_t" + std::to_string(oversub),
-                       numa_off_ns});
-    entries.push_back({"sched_storm_steal_numa_interleave_t" + std::to_string(oversub),
-                       numa_on_ns});
+    entries.push_back({"sched_storm_steal_oversub_t8", oversub_ns});
+    entries.push_back({"sched_storm_steal_oversub_t16", wide_ns});
   }
 
   // --- Contended acquisition storms (scheduler-level A/B surface) -----------
@@ -257,7 +247,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Steal-batch / victim-distance histograms ------------------------------
-  const StealHistStats hist = oversub_steal_hist(wide);
+  const StealHistStats hist = oversub_steal_hist(kWide);
   entries.push_back({"sched_steal_batch_mean", hist.batch_mean, "tasks"});
   entries.push_back({"sched_steal_batch_p95", hist.batch_p95, "tasks"});
   entries.push_back(
@@ -297,22 +287,18 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"derived\": {\n");
   std::fprintf(out,
                "    \"oversub_over_wide\": %.2f,\n"
-               "    \"numa_interleave_over_off_single_node\": %.3f,\n"
                "    \"steal_batch_mean_tasks\": %.2f\n",
-               wide_ns > 0.0 ? oversub_ns / wide_ns : 0.0,
-               numa_off_ns > 0.0 ? numa_on_ns / numa_off_ns : 0.0,
-               hist.batch_mean);
+               wide_ns > 0.0 ? oversub_ns / wide_ns : 0.0, hist.batch_mean);
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
   if (out != stdout) std::fclose(out);
 
   std::fprintf(stderr,
                "pr10_scale: oversub t%u = %.1f ns/task, wide t%u = %.1f ns/task, "
-               "acquire storm l8 = %.1f ns (l16 = %.1f), numa on/off = %.3f, "
+               "acquire storm l8 = %.1f ns (l16 = %.1f), "
                "steal batches = %llu (mean %.1f tasks, victim-distance p50 "
                "%.1f)\n",
-               oversub, oversub_ns, wide, wide_ns, acquire_l8, acquire_l16,
-               numa_off_ns > 0.0 ? numa_on_ns / numa_off_ns : 0.0,
+               kOversub, oversub_ns, kWide, wide_ns, acquire_l8, acquire_l16,
                static_cast<unsigned long long>(hist.batch_count), hist.batch_mean,
                hist.distance_p50);
   return 0;

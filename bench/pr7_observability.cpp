@@ -48,11 +48,6 @@ struct Entry {
 constexpr std::size_t kStormTasks = 20'000;
 constexpr int kStormWaves = 5;
 
-double storm_ns_per_task(const rt::RuntimeConfig& cfg, int reps) {
-  const double rate = sched_storm_median(cfg, kStormTasks, kStormWaves, reps);
-  return 1e9 / rate;
-}
-
 /// The gated A/B: one run of each config per round, interleaved, so drift
 /// cancels out of the ratios. Returns ns/task medians, one per config.
 std::vector<double> storm_ab_ns_per_task(

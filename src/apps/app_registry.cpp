@@ -21,15 +21,12 @@ rt::RuntimeConfig runtime_config(const RunConfig& config) {
   return {.num_threads = config.threads,
           .enable_tracing = config.tracing,
           .sched = config.sched,
-          .graph_log2_shards = config.graph_log2_shards,
-          .arena_block_tasks = config.arena_block_tasks,
           .help_taskwait = config.help_taskwait,
           .metrics = config.metrics,
           .metrics_interval_ms = config.metrics_interval_ms,
           .metrics_live = config.metrics_live,
           .profile_tasks = config.profile_tasks,
-          .profile_max_types = config.profile_max_types,
-          .numa_policy = config.numa};
+          .profile_max_types = config.profile_max_types};
 }
 
 std::unique_ptr<AtmEngine> make_engine(const RunConfig& config) {
@@ -49,7 +46,6 @@ std::unique_ptr<AtmEngine> make_engine(const RunConfig& config) {
   c.tolerance_probes = config.tolerance_probes;
   c.l2_enabled = config.l2_enabled;
   c.l2_budget_bytes = config.l2_budget_bytes;
-  c.l2_log2_shards = config.l2_log2_shards;
   c.l2_compress = config.l2_compress;
   c.reuse_log_cap = config.reuse_log_cap;
   c.profile_max_types = config.profile_max_types;

@@ -34,11 +34,6 @@ struct RunConfig {
   EvictionPolicy eviction = EvictionPolicy::Fifo;
   bool tracing = false;
   std::uint64_t shuffle_seed = 0x5eedULL;
-  /// Submit-path tuning (PR 4): dependence-tracker shard count (log2) and
-  /// task-arena slab size, plumbed into every app's Runtime via
-  /// runtime_config(). Defaults match RuntimeConfig.
-  unsigned graph_log2_shards = 4;
-  unsigned arena_block_tasks = 256;
   /// Helping barrier (PR 5): the thread at a taskwait drains/steals tasks
   /// instead of parking. Off = the paper's parking barrier
   /// (`atm_run --taskwait=park`), kept for wave-boundary A/B runs.
@@ -60,7 +55,6 @@ struct RunConfig {
   // --- tiered memo store (src/store/) ---
   bool l2_enabled = false;        ///< byte-budgeted capacity tier behind the THT
   std::size_t l2_budget_bytes = std::size_t{64} << 20;
-  unsigned l2_log2_shards = 4;
   bool l2_compress = false;       ///< RLE-compress demoted snapshots
   /// Warm-start: load this store snapshot before the run (empty = cold).
   std::string load_store_path{};
@@ -87,11 +81,6 @@ struct RunConfig {
   /// rt::RuntimeConfig::profile_max_types and AtmConfig::profile_max_types
   /// (`atm_run --profile-types=N`); types with id >= the cap run unprofiled.
   std::size_t profile_max_types = 256;
-
-  /// Best-effort NUMA placement for runtime slabs (`atm_run --numa`):
-  /// task-arena blocks and dependence-tracker shards. Silently a no-op on
-  /// single-node hosts; results are identical with any policy (PR 10).
-  NumaPolicy numa = NumaPolicy::Off;
 };
 
 /// Everything a run reports back to the harnesses.

@@ -71,11 +71,6 @@ struct AtmConfig {
   /// THT replacement policy (paper: FIFO).
   EvictionPolicy eviction = EvictionPolicy::Fifo;
 
-  /// Safety valve for Dynamic mode: end training unconditionally after this
-  /// many executed tasks of a type (0 = no cap). The paper trains with at
-  /// most ~5% of the tasks; apps pass explicit L_training instead.
-  std::uint64_t training_task_cap = 0;
-
   // --- tolerance-quantized keys (src/atm/tolerance.hpp, beyond the paper) --
   /// Relative epsilon for key quantization: sampled float/double elements
   /// within ~tolerance_rel of a quantization-cell center share a key cell.
@@ -92,10 +87,9 @@ struct AtmConfig {
   /// Enable the byte-budgeted L2 store behind the THT: capacity evictions
   /// demote into it, steady-state L1 misses probe it and promote on hit.
   bool l2_enabled = false;
-  /// Total L2 payload budget in bytes (split evenly across shards).
+  /// Total L2 payload budget in bytes (split evenly across the
+  /// store::L2Config default of 16 shards).
   std::size_t l2_budget_bytes = std::size_t{64} << 20;
-  /// log2 of the L2 shard count (independent locks; 2^4 = 16 shards).
-  unsigned l2_log2_shards = 4;
   /// Compress demoted snapshots (byte-wise RLE with raw fallback).
   bool l2_compress = false;
 

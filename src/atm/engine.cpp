@@ -66,7 +66,6 @@ AtmEngine::AtmEngine(AtmConfig config)
   if (config_.l2_enabled) {
     l2_ = std::make_unique<store::L2CapacityStore>(store::L2Config{
         .budget_bytes = config_.l2_budget_bytes,
-        .log2_shards = config_.l2_log2_shards,
         .compress = config_.l2_compress,
     });
     // Demotion seam: every THT capacity eviction lands in the L2 tier.
@@ -197,12 +196,11 @@ TrainingController& AtmEngine::controller(const rt::TaskType& type) {
       const auto warm = warm_controllers_.find(type.id());
       if (warm != warm_controllers_.end()) {
         ctl = std::make_unique<TrainingController>(
-            type.atm_params(), warm->second.p, config_.training_task_cap,
+            type.atm_params(), warm->second.p,
             warm->second.steady ? TrainingPhase::Steady : TrainingPhase::Training,
             warm->second.trained_tasks);
       } else {
-        ctl = std::make_unique<TrainingController>(type.atm_params(), kMinP,
-                                                   config_.training_task_cap);
+        ctl = std::make_unique<TrainingController>(type.atm_params(), kMinP);
       }
       break;
     }

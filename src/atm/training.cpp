@@ -23,9 +23,6 @@ void TrainingController::note_trained_task() {
   MutexLock lock(mutex_);
   if (phase_ != TrainingPhase::Training) return;
   ++trained_tasks_;
-  if (task_cap_ != 0 && trained_tasks_ >= task_cap_) {
-    phase_ = TrainingPhase::Steady;
-  }
 }
 
 void TrainingController::blacklist_outputs(const rt::Task& task) {

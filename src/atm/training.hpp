@@ -29,22 +29,19 @@ class TrainingController {
  public:
   /// Dynamic mode: train from kMinP with the type's parameters. A warm
   /// start (store snapshot load) passes the persisted p/phase and the tasks
-  /// already spent training, so the task-cap budget is not re-granted on
-  /// every restart.
+  /// already spent training.
   explicit TrainingController(rt::AtmParams params, double initial_p = kMinP,
-                              std::uint64_t task_cap = 0,
                               TrainingPhase initial_phase = TrainingPhase::Training,
                               std::uint64_t trained_tasks = 0)
       : params_(params),
         phase_(initial_phase),
         p_(initial_p),
-        trained_tasks_(trained_tasks),
-        task_cap_(task_cap) {}
+        trained_tasks_(trained_tasks) {}
 
   /// Static/FixedP modes: a controller already in steady state with the
   /// given constant p (no training ever happens).
   [[nodiscard]] static std::unique_ptr<TrainingController> make_steady(double p) {
-    return std::make_unique<TrainingController>(rt::AtmParams{}, p, 0,
+    return std::make_unique<TrainingController>(rt::AtmParams{}, p,
                                                 TrainingPhase::Steady);
   }
 
@@ -65,8 +62,7 @@ class TrainingController {
   /// success streak; L_training consecutive successes end training.
   void report_trained(double tau);
 
-  /// Count an executed task of this type during training; trips the
-  /// optional task cap ("~5% of the tasks suffices", §IV-A).
+  /// Count an executed task of this type during training.
   void note_trained_task();
 
   /// Record the output pointers of a task that failed verification: those
@@ -105,7 +101,6 @@ class TrainingController {
   double p_ ATM_GUARDED_BY(mutex_);
   std::uint32_t success_streak_ ATM_GUARDED_BY(mutex_) = 0;
   std::uint64_t trained_tasks_ ATM_GUARDED_BY(mutex_) = 0;
-  std::uint64_t task_cap_ = 0;
   std::vector<double> p_history_ ATM_GUARDED_BY(mutex_){};
   std::set<const void*> unstable_outputs_ ATM_GUARDED_BY(mutex_);
 };

@@ -303,31 +303,17 @@ std::size_t DependencyTracker::prune_finished() noexcept {
 
 // --- ShardedDependencyTracker ----------------------------------------------
 
-ShardedDependencyTracker::ShardedDependencyTracker(unsigned log2_shards,
-                                                   unsigned region_shift,
-                                                   NumaPolicy numa)
-    : log2_shards_(log2_shards > 6 ? 6 : log2_shards),
-      region_shift_(region_shift),
-      shard_count_(std::size_t{1} << log2_shards_),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {
-  // Every worker may submit against any shard under stealing, so spread the
-  // shard cachelines (and the trees they anchor) across nodes. Best effort:
-  // a no-op single-node or with the policy off (see common/numa.hpp).
-  numa_place(shards_.get(), shard_count_ * sizeof(Shard), numa,
-             NumaTopology::system());
-}
-
 std::uint64_t ShardedDependencyTracker::footprint_mask(const Task& task) const noexcept {
   std::uint64_t mask = 0;
   for (const DataAccess& access : task.accesses) {
     const std::uintptr_t s = access.begin();
     const std::uintptr_t e = access.end();
     if (s == e) continue;
-    for (std::uint64_t g = static_cast<std::uint64_t>(s) >> region_shift_,
-                       last = static_cast<std::uint64_t>(e - 1) >> region_shift_;
+    for (std::uint64_t g = static_cast<std::uint64_t>(s) >> kRegionShift,
+                       last = static_cast<std::uint64_t>(e - 1) >> kRegionShift;
          g <= last; ++g) {
       mask |= std::uint64_t{1} << shard_index(static_cast<std::uintptr_t>(
-                  g << region_shift_));
+                  g << kRegionShift));
     }
   }
   return mask;
@@ -382,7 +368,7 @@ void ShardedDependencyTracker::reset_after_barrier() noexcept {
   // carrying dead segments forever. ~32k segments per shard is far beyond
   // any iterative app's steady footprint and far below streaming peaks.
   constexpr std::size_t kRetainMax = std::size_t{1} << 15;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
+  for (std::size_t i = 0; i < kShardCount; ++i) {
     SpinLockGuard lock(shards_[i].mutex);
     if (shards_[i].tracker.segment_count() > kRetainMax) {
       shards_[i].tracker.clear();
@@ -401,7 +387,7 @@ void ShardedDependencyTracker::reset_after_barrier() noexcept {
 }
 
 void ShardedDependencyTracker::clear() noexcept {
-  for (std::size_t i = 0; i < shard_count_; ++i) {
+  for (std::size_t i = 0; i < kShardCount; ++i) {
     SpinLockGuard lock(shards_[i].mutex);
     shards_[i].tracker.clear();
     shards_[i].prune_floor = 0;
@@ -410,7 +396,7 @@ void ShardedDependencyTracker::clear() noexcept {
 
 std::size_t ShardedDependencyTracker::segment_count() const {
   std::size_t n = 0;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
+  for (std::size_t i = 0; i < kShardCount; ++i) {
     SpinLockGuard lock(shards_[i].mutex);
     n += shards_[i].tracker.segment_count();
   }
@@ -419,7 +405,7 @@ std::size_t ShardedDependencyTracker::segment_count() const {
 
 DepIndexStats ShardedDependencyTracker::stats() const {
   DepIndexStats total;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
+  for (std::size_t i = 0; i < kShardCount; ++i) {
     SpinLockGuard lock(shards_[i].mutex);
     total += shards_[i].tracker.stats();
   }

@@ -43,7 +43,6 @@
 #include <memory_resource>
 #include <vector>
 
-#include "common/numa.hpp"
 #include "common/thread_safety.hpp"
 #include "runtime/task.hpp"
 #include "runtime/task_arena.hpp"
@@ -193,8 +192,8 @@ class DependencyTracker {
 /// Sharded front of the tracker: the submit-path lock is split by address
 /// region so independent submissions proceed in parallel.
 ///
-/// Mapping: the address space is cut into 2^region_shift-byte granules and
-/// each granule hashes onto one of the 2^log2_shards shard trackers. A
+/// Mapping: the address space is cut into 2^kRegionShift-byte granules and
+/// each granule hashes onto one of the 2^kLog2Shards shard trackers. A
 /// task's accesses are clipped at granule boundaries and each piece is
 /// registered in its granule's shard. Registration first collects the
 /// shard set of the whole footprint and locks it in ascending index order —
@@ -204,17 +203,14 @@ class DependencyTracker {
 /// machinery entirely and locks its one shard directly.
 class ShardedDependencyTracker {
  public:
-  /// Default granule size exponent: 2 MiB granules keep typical app block
-  /// accesses in one shard while spreading distinct buffers across the pool.
-  static constexpr unsigned kDefaultRegionShift = 21;
-
-  /// Up to 64 shards (the footprint set is a 64-bit mask). `numa` applies
-  /// best-effort placement to the shard array: under stealing any worker may
-  /// submit against any shard, so interleaving spreads the lock/tree traffic
-  /// evenly across nodes (no-op on single-node hosts).
-  explicit ShardedDependencyTracker(unsigned log2_shards = 4,
-                                    unsigned region_shift = kDefaultRegionShift,
-                                    NumaPolicy numa = NumaPolicy::Off);
+  /// Granule size exponent: 2 MiB granules keep typical app block accesses
+  /// in one shard while spreading distinct buffers across the pool.
+  static constexpr unsigned kRegionShift = 21;
+  /// log2 of the shard count (16 shards), the submit-path lock granularity.
+  /// At most 6: the footprint set is a 64-bit mask.
+  static constexpr unsigned kLog2Shards = 4;
+  static constexpr std::size_t kShardCount = std::size_t{1} << kLog2Shards;
+  static_assert(kLog2Shards >= 1 && kLog2Shards <= 6);
 
   /// Register `task`, then call `visit(dep)` for every distinct predecessor
   /// while the footprint's shard locks are still held (the locks pin the
@@ -235,7 +231,7 @@ class ShardedDependencyTracker {
       const DataAccess& access = task.accesses.front();
       const std::uintptr_t s = access.begin();
       const std::uintptr_t e = access.end();
-      if (s != e && ((s ^ (e - 1)) >> region_shift_) == 0) {
+      if (s != e && ((s ^ (e - 1)) >> kRegionShift) == 0) {
         Shard& shard = shards_[shard_index(s)];
         shard.mutex.lock();
         shard.tracker.register_range(task, access.mode, s, e, deps);
@@ -253,7 +249,7 @@ class ShardedDependencyTracker {
       const std::uintptr_t end = access.end();
       while (cursor < end) {
         const std::uintptr_t granule_end =
-            ((cursor >> region_shift_) + 1) << region_shift_;
+            ((cursor >> kRegionShift) + 1) << kRegionShift;
         const std::uintptr_t piece_end = granule_end < end ? granule_end : end;
         shards_[shard_index(cursor)].tracker.register_range(task, access.mode, cursor,
                                                             piece_end, deps);
@@ -280,9 +276,6 @@ class ShardedDependencyTracker {
 
   [[nodiscard]] std::size_t segment_count() const;
   [[nodiscard]] DepIndexStats stats() const;
-  [[nodiscard]] unsigned shard_count() const noexcept {
-    return static_cast<unsigned>(shard_count_);
-  }
 
  private:
   struct alignas(64) Shard {
@@ -297,10 +290,9 @@ class ShardedDependencyTracker {
   };
 
   [[nodiscard]] std::size_t shard_index(std::uintptr_t addr) const noexcept {
-    if (log2_shards_ == 0) return 0;
-    const std::uint64_t granule = static_cast<std::uint64_t>(addr) >> region_shift_;
+    const std::uint64_t granule = static_cast<std::uint64_t>(addr) >> kRegionShift;
     return static_cast<std::size_t>((granule * 0x9e3779b97f4a7c15ull) >>
-                                    (64 - log2_shards_));
+                                    (64 - kLog2Shards));
   }
 
   [[nodiscard]] std::uint64_t footprint_mask(const Task& task) const noexcept;
@@ -311,10 +303,7 @@ class ShardedDependencyTracker {
   void maybe_prune_locked(std::uint64_t mask) noexcept ATM_NO_THREAD_SAFETY_ANALYSIS;
   static void maybe_prune_shard(Shard& shard) noexcept ATM_REQUIRES(shard.mutex);
 
-  unsigned log2_shards_;
-  unsigned region_shift_;
-  std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<Shard[]> shards_ = std::make_unique<Shard[]>(kShardCount);
 };
 
 }  // namespace atm::rt

@@ -29,9 +29,6 @@ Runtime::Runtime(RuntimeConfig config)
       profile_tasks_(config.profile_tasks),
       tracer_(std::make_unique<TraceRecorder>(num_threads_ + 1, config.enable_tracing)),
       sched_(Scheduler::make(config.sched, num_threads_, tracer_.get(), &metrics_)),
-      arena_(config.arena_block_tasks, config.numa_policy),
-      tracker_(config.graph_log2_shards, ShardedDependencyTracker::kDefaultRegionShift,
-               config.numa_policy),
       profile_max_types_(config.profile_max_types),
       exec_hist_(std::make_unique<std::atomic<obs::LatencyHistogram*>[]>(
           config.profile_max_types)) {

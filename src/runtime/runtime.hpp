@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "common/numa.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "runtime/dependency_tracker.hpp"
@@ -88,12 +87,6 @@ struct RuntimeConfig {
   /// is the default; Central is the paper's single mutex+condvar RQ, kept
   /// for A/B comparison (`atm_run --sched central`).
   SchedPolicy sched = SchedPolicy::Steal;
-  /// Dependence-tracker shards (log2, capped at 6): the submit-path lock
-  /// granularity. More shards = more concurrent submitters on disjoint
-  /// footprints; 0 = one shard (the pre-PR-4 single-lock behavior).
-  unsigned graph_log2_shards = 4;
-  /// Task records carved per arena slab.
-  unsigned arena_block_tasks = 256;
   /// Helping barrier: the thread at a taskwait registers as a transient
   /// worker and drains/steals tasks instead of parking on a condvar —
   /// wave-boundary latency on few-core hosts is the payoff. Off = the
@@ -118,11 +111,6 @@ struct RuntimeConfig {
   /// attached engine's hit/miss/latency profiles). One atomic pointer per
   /// slot, sized at construction (`atm_run --profile-types=N`).
   std::size_t profile_max_types = 256;
-  /// Best-effort NUMA placement of task-arena slabs and dependence-tracker
-  /// shards (`atm_run --numa`). Off by default; silently a no-op on
-  /// single-node hosts — results are bit-identical either way, only page
-  /// placement (and thus steal-path memory locality) changes.
-  NumaPolicy numa_policy = NumaPolicy::Off;
 };
 
 /// Monotonic counters; cheap enough to keep always-on.

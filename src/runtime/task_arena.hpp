@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/numa.hpp"
 #include "common/spin_lock.hpp"
 #include "common/thread_safety.hpp"
 #include "runtime/task.hpp"
@@ -38,14 +37,9 @@ struct TaskArenaStats {
 class TaskArena {
  public:
   /// `tasks_per_block == 0` selects the default slab size (the zero-guard
-  /// lives here only; callers pass config values through unchecked).
-  /// `numa` applies best-effort placement to each carved slab: stolen tasks
-  /// are touched from every node, so interleaving the records spreads the
-  /// access cost; a no-op on single-node hosts (see common/numa.hpp).
-  explicit TaskArena(std::size_t tasks_per_block = 0,
-                     NumaPolicy numa = NumaPolicy::Off)
-      : tasks_per_block_(tasks_per_block != 0 ? tasks_per_block : 256),
-        numa_policy_(numa) {}
+  /// lives here only).
+  explicit TaskArena(std::size_t tasks_per_block = 0)
+      : tasks_per_block_(tasks_per_block != 0 ? tasks_per_block : 256) {}
 
   TaskArena(const TaskArena&) = delete;
   TaskArena& operator=(const TaskArena&) = delete;
@@ -118,11 +112,6 @@ class TaskArena {
  private:
   void grow_locked() ATM_REQUIRES(mutex_) {
     auto block = std::make_unique<Task[]>(tasks_per_block_);
-    // Off the hot path (one call per tasks_per_block_ acquires, and only
-    // when the release stack was empty too): placement is a syscall at
-    // worst, a no-op single-node.
-    numa_place(block.get(), tasks_per_block_ * sizeof(Task), numa_policy_,
-               NumaTopology::system());
     for (std::size_t i = 0; i < tasks_per_block_; ++i) {
       block[i].pool = this;
       block[i].free_next = free_head_;
@@ -136,7 +125,6 @@ class TaskArena {
   }
 
   const std::size_t tasks_per_block_;
-  const NumaPolicy numa_policy_;
   /// Release side: lock-free stack of retired slots.
   std::atomic<Task*> recycled_{nullptr};
   /// Acquire side: spinlock-protected stash (submitters only; the critical

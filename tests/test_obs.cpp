@@ -321,10 +321,23 @@ TEST(RuntimeMetrics, HelpingBarrierCountsSessions) {
   rt::Runtime runtime({.num_threads = 2, .help_taskwait = true});
   const auto* type =
       runtime.register_type({.name = "t", .memoizable = false, .atm = {}});
+  // A fast worker could drain a whole wave before taskwait() runs, and then
+  // no help session would happen. So each wave's first task holds until the
+  // master has entered that wave's help session. The counter increments
+  // before the helper pops anything, so the master picking this task itself
+  // cannot deadlock.
+  const Counter* sessions = runtime.metrics().counter("sched.help_sessions");
+  ASSERT_NE(sessions, nullptr);
   std::vector<int> cells(128, 0);
-  for (int w = 0; w < 4; ++w) {
-    for (auto& c : cells) {
-      runtime.submit(type, [] {}, {rt::inout(&c, 1)});
+  for (std::uint64_t w = 0; w < 4; ++w) {
+    runtime.submit(
+        type,
+        [sessions, w] {
+          while (sessions->value() <= w) std::this_thread::yield();
+        },
+        {rt::inout(&cells[0], 1)});
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+      runtime.submit(type, [] {}, {rt::inout(&cells[i], 1)});
     }
     runtime.taskwait();
   }

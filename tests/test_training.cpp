@@ -1,6 +1,6 @@
 // Tests for the Dynamic-ATM training controller (§III-D): p doubling on
 // failure, capping at 100%, the L_training success streak, the unstable
-// output-pointer blacklist, and the optional task cap.
+// and output-pointer blacklist.
 #include <gtest/gtest.h>
 
 #include "atm/training.hpp"
@@ -124,15 +124,6 @@ TEST(Training, BlacklistIgnoresInputs) {
   rt::Task reader;
   reader.accesses.push_back(rt::in(static_cast<const float*>(buf), 4));
   EXPECT_FALSE(ctl.is_blacklisted(reader));
-}
-
-TEST(Training, TaskCapEndsTraining) {
-  TrainingController ctl(params(1000, 0.01), kMinP, /*task_cap=*/10);
-  for (int i = 0; i < 9; ++i) ctl.note_trained_task();
-  EXPECT_EQ(ctl.phase(), TrainingPhase::Training);
-  ctl.note_trained_task();
-  EXPECT_EQ(ctl.phase(), TrainingPhase::Steady);
-  EXPECT_EQ(ctl.trained_tasks(), 10u);
 }
 
 TEST(Training, MemoryAccountingNonZero) {

@@ -11,8 +11,6 @@
 //   --taskwait=T           help | park: helping barrier (the master drains/
 //                          steals tasks at taskwait) or the paper's parking
 //                          condvar barrier                 (default: help)
-//   --graph-shards=K       2^K dependence-tracker shards on the submit
-//                          path (default: 4; 0 = single lock)
 //   --preset=P             test | bench | paper             (default: bench)
 //   --no-ikt               disable the In-flight Key Table
 //   --no-type-aware        uniform byte shuffling (§III-C off)
@@ -21,7 +19,6 @@
 //   --n=K  --m=K           THT sizing: 2^n buckets, m entries per bucket
 //   --l2                   enable the L2 capacity tier behind the THT
 //   --l2-budget-mb=K       L2 byte budget in MiB            (default: 64)
-//   --l2-shards=K          2^K L2 shards                    (default: 4)
 //   --l2-compress          RLE-compress demoted snapshots
 //   --save-store=PATH      persist THT + L2 + p-controllers after the run
 //   --load-store=PATH      warm-start from a saved store (zero training);
@@ -57,10 +54,6 @@
 //   --profile-types=N      cap on distinct task-type ids carrying per-type
 //                          profiles; types with id >= N run unprofiled
 //                          (default: 256)
-//   --numa[=P]             off | first-touch | interleave: best-effort NUMA
-//                          placement of task-arena slabs and dependence-
-//                          tracker shards (bare --numa = interleave; always
-//                          a silent no-op on single-node hosts)
 //   --baseline             also run mode=off and report speedup/correctness
 #include <cstdio>
 #include <cstring>
@@ -159,15 +152,15 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [app] [--mode=off|static|dynamic|fixed] [--p=F]\n"
                "          [--threads=N] [--sched=steal|central] [--taskwait=help|park]\n"
-               "          [--graph-shards=K] [--preset=test|bench|paper] [--no-ikt]\n"
+               "          [--preset=test|bench|paper] [--no-ikt]\n"
                "          [--no-type-aware] [--verify-full-inputs] [--lru]\n"
-               "          [--n=K] [--m=K] [--l2] [--l2-budget-mb=K] [--l2-shards=K]\n"
+               "          [--n=K] [--m=K] [--l2] [--l2-budget-mb=K]\n"
                "          [--l2-compress] [--save-store=PATH] [--load-store=PATH]\n"
                "          [--tolerance[=F]] [--tolerance-abs=F] [--probes=K] [--noise=F]\n"
                "          [--trace] [--trace-json=FILE] [--stats] [--stats-json=FILE]\n"
                "          [--metrics-json=FILE] [--metrics-csv=FILE]\n"
                "          [--stats-interval=MS] [--profile] [--profile-types=N]\n"
-               "          [--numa[=off|first-touch|interleave]] [--baseline]\n",
+               "          [--baseline]\n",
                argv0);
   return 2;
 }
@@ -199,9 +192,6 @@ bool parse(int argc, char** argv, Options* opts) {
       if (t == "help") opts->config.help_taskwait = true;
       else if (t == "park") opts->config.help_taskwait = false;
       else return false;
-    } else if (parse_flag(arg, "--graph-shards", &value)) {
-      opts->config.graph_log2_shards =
-          static_cast<unsigned>(std::strtoul(value, nullptr, 10));
     } else if (parse_flag(arg, "--preset", &value)) {
       const std::string p = value;
       if (p == "test") opts->preset = Preset::Test;
@@ -220,10 +210,6 @@ bool parse(int argc, char** argv, Options* opts) {
       opts->config.l2_enabled = true;
       opts->config.l2_budget_bytes =
           static_cast<std::size_t>(std::strtoull(value, nullptr, 10)) << 20;
-    } else if (parse_flag(arg, "--l2-shards", &value)) {
-      opts->config.l2_enabled = true;
-      opts->config.l2_log2_shards =
-          static_cast<unsigned>(std::strtoul(value, nullptr, 10));
     } else if (parse_flag(arg, "--l2-compress", &value)) {
       opts->config.l2_enabled = true;
       opts->config.l2_compress = true;
@@ -251,10 +237,6 @@ bool parse(int argc, char** argv, Options* opts) {
           static_cast<unsigned>(std::strtoul(value, nullptr, 10));
     } else if (parse_flag(arg, "--noise", &value)) {
       opts->config.input_noise = std::strtod(value, nullptr);
-    } else if (parse_flag(arg, "--numa", &value)) {
-      // Bare --numa selects interleave (parse_numa_policy's empty-string
-      // default); unknown policies are a usage error.
-      if (!parse_numa_policy(value, &opts->config.numa)) return false;
     } else if (parse_flag(arg, "--trace-json", &value)) {
       opts->trace_json = value;
       opts->config.tracing = true;

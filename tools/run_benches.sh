@@ -10,7 +10,7 @@
 #           json            machine-readable results: runs pr10_scale and
 #                           writes BENCH_pr10.json (or [json-out]) — bench
 #                           name -> ns/op for the continuity storms plus the
-#                           oversubscribed/NUMA configs and steal-histogram
+#                           oversubscribed configs and steal-histogram
 #                           stats. Storm bench names match
 #                           BENCH_pr7/pr6/pr5/pr4/pr3.json, so the
 #                           checked-in files A/B directly across PRs;
