@@ -125,9 +125,9 @@ using apps::RunResult;
                             waves, reps);
 }
 
-/// Six float input regions (the Blackscholes shape) for the gathered-vs-
-/// planned compute_key comparison. Shared by micro_atm and pr3_hotpath so
-/// both harnesses measure exactly the same workload and their numbers stay
+/// Six float input regions (the Blackscholes shape) for the planned
+/// compute_key benches. Shared by micro_atm and pr3_hotpath so both
+/// harnesses measure exactly the same workload and their numbers stay
 /// comparable.
 struct MultiRegionKeyFixture {
   static constexpr std::size_t kRegions = 6;

@@ -9,8 +9,8 @@
 //   sched_storm_{central,steal}_tN   fine-grained task storm through the
 //                                    full runtime, ns per task
 //   sched_pushpop_{central,steal}    raw scheduler push+pop pair, one worker
-//   compute_key_{gathered,planned}_pP  per-byte gather vs coalesced plan on
-//                                    a six-region task at p = P
+//   compute_key_planned_pP           key over the coalesced plan of a
+//                                    six-region task at p = P
 //   reuse_percent_blackscholes_static  sanity: memoization still reuses
 #include <cstdio>
 #include <cstring>
@@ -54,10 +54,8 @@ double pushpop_ns(rt::SchedPolicy policy, std::size_t push_lane) {
   return secs * 1e9 / kOps;
 }
 
-double key_ns(MultiRegionKeyFixture& fx, double p, bool planned) {
-  const auto layout = InputLayout::from_task(fx.task);
-  const auto& order = fx.sampler.order_for(0, layout);
-  const GatherPlan& plan = fx.sampler.plan_for(0, layout, p);
+double key_ns(MultiRegionKeyFixture& fx, double p) {
+  const GatherPlan& plan = fx.sampler.plan_for(0, InputLayout::from_task(fx.task), p);
   const std::uint64_t seed = 4;
   // Calibrate the iteration count so each measurement runs ~0.2 s.
   int iters = 64;
@@ -65,8 +63,7 @@ double key_ns(MultiRegionKeyFixture& fx, double p, bool planned) {
   for (;;) {
     Timer timer;
     for (int i = 0; i < iters; ++i) {
-      sink = planned ? compute_key(fx.task, plan, seed).key
-                     : compute_key(fx.task, order, p, seed).key;
+      sink = compute_key(fx.task, plan, seed).key;
     }
     (void)sink;
     const double secs = timer.elapsed_s();
@@ -108,18 +105,12 @@ int main(int argc, char** argv) {
   entries.push_back({"sched_pushpop_steal_external",
                      pushpop_ns(rt::SchedPolicy::Steal, 1)});
 
-  // --- Hash key: gathered vs planned ----------------------------------------
+  // --- Hash key over the coalesced plan -------------------------------------
   MultiRegionKeyFixture fx;
-  double planned_worst_speedup = 1e9;
   for (double p : {0.05, 0.1, 0.3}) {
-    const double gathered = key_ns(fx, p, /*planned=*/false);
-    const double planned = key_ns(fx, p, /*planned=*/true);
     char label[64];
-    std::snprintf(label, sizeof label, "compute_key_gathered_p%.2f", p);
-    entries.push_back({label, gathered});
     std::snprintf(label, sizeof label, "compute_key_planned_p%.2f", p);
-    entries.push_back({label, planned});
-    planned_worst_speedup = std::min(planned_worst_speedup, gathered / planned);
+    entries.push_back({label, key_ns(fx, p)});
   }
 
   // --- Reuse sanity: the scheduler change must not break memoization --------
@@ -155,17 +146,13 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"derived\": {\n");
   std::fprintf(out,
                "    \"storm_steal_over_central_at_max_hw\": %.2f,\n"
-               "    \"storm_steal_over_central_contended_t%u\": %.2f,\n"
-               "    \"planned_gather_min_speedup_p_le_0.3\": %.2f\n",
-               storm_speedup, contended, central_c / steal_c,
-               planned_worst_speedup);
+               "    \"storm_steal_over_central_contended_t%u\": %.2f\n",
+               storm_speedup, contended, central_c / steal_c);
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
   if (out != stdout) std::fclose(out);
 
-  std::fprintf(stderr,
-               "pr3_hotpath: storm steal/central = %.2fx, planned-gather min "
-               "speedup (p<=0.3) = %.2fx, reuse = %.1f%%\n",
-               storm_speedup, planned_worst_speedup, 100.0 * run.reuse_fraction());
+  std::fprintf(stderr, "pr3_hotpath: storm steal/central = %.2fx, reuse = %.1f%%\n",
+               storm_speedup, 100.0 * run.reuse_fraction());
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "atm/engine.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -56,8 +57,6 @@ std::size_t output_bytes(const rt::Task& task) noexcept {
 
 AtmEngine::AtmEngine(AtmConfig config)
     : config_(config),
-      profile_max_types_(config.profile_max_types),
-      profiles_(std::make_unique<std::atomic<TypeProfile*>[]>(config.profile_max_types)),
       tht_(config.log2_buckets, config.bucket_capacity, config.arena_reserve_bytes,
            config.verify_full_inputs, config.eviction),
       ikt_(),
@@ -103,10 +102,13 @@ void AtmEngine::release_registry() {
   // The profile instruments lived in the departing runtime's registry;
   // drop the cache so a later re-attach recreates them on the new one.
   MutexLock lock(profiles_mutex_);
-  for (std::size_t i = 0; i < profile_max_types_; ++i) {
-    // mo: release pairs with profile_for()'s acquire load — a reader that
-    // sees nullptr simply takes the slow path.
-    profiles_[i].store(nullptr, std::memory_order_release);
+  {
+    MutexLock slots_lock(slots_mutex_);
+    for (const auto& slot : slot_storage_) {
+      // mo: release pairs with profile_for()'s acquire load — a reader that
+      // sees nullptr simply takes the slow path.
+      slot->profile.store(nullptr, std::memory_order_release);
+    }
   }
   profile_storage_.clear();
 }
@@ -151,15 +153,122 @@ void AtmEngine::on_attach(rt::Runtime& runtime) {
   collector_registered_ = true;
 }
 
-AtmEngine::TypeProfile* AtmEngine::profile_for(const rt::TaskType& type) {
-  if (metrics_ == nullptr || type.id() >= profile_max_types_) return nullptr;
+AtmEngine::SlotIndex AtmEngine::slot_index(std::uint32_t type_id) noexcept {
+  // Ids shifted by the first segment's size: segment k then holds the
+  // shifted ids with bit width k + 1 + kSlotSegmentBaseLog2.
+  const std::uint64_t j = std::uint64_t{type_id} + (1u << kSlotSegmentBaseLog2);
+  const auto segment =
+      static_cast<unsigned>(std::bit_width(j)) - 1 - kSlotSegmentBaseLog2;
+  const std::size_t size = std::size_t{1} << (segment + kSlotSegmentBaseLog2);
+  return {segment, static_cast<std::size_t>(j) - size, size};
+}
+
+AtmEngine::TypeSlot& AtmEngine::slot(const rt::TaskType& type) {
+  const SlotIndex at = slot_index(type.id());
+  // mo: acquire pairs with create_slot()'s release stores, so a published
+  // segment and slot are seen fully built.
+  const std::atomic<TypeSlot*>* seg =
+      slot_segments_[at.segment].load(std::memory_order_acquire);
+  if (seg != nullptr) {
+    // mo: acquire, as above.
+    TypeSlot* s = seg[at.offset].load(std::memory_order_acquire);
+    if (s != nullptr) return *s;
+  }
+  return create_slot(type);
+}
+
+AtmEngine::TypeSlot& AtmEngine::create_slot(const rt::TaskType& type) {
+  const SlotIndex at = slot_index(type.id());
+  MutexLock lock(slots_mutex_);
+  // mo: relaxed — the mutex orders this against racing creators.
+  std::atomic<TypeSlot*>* seg = slot_segments_[at.segment].load(std::memory_order_relaxed);
+  if (seg == nullptr) {
+    segment_storage_.push_back(std::make_unique<std::atomic<TypeSlot*>[]>(at.segment_size));
+    seg = segment_storage_.back().get();
+    // mo: release publishes the zeroed segment to lock-free readers.
+    slot_segments_[at.segment].store(seg, std::memory_order_release);
+  }
+  std::atomic<TypeSlot*>& cell = seg[at.offset];
+  // mo: relaxed — the mutex orders this re-check against racing creators.
+  if (TypeSlot* existing = cell.load(std::memory_order_relaxed)) return *existing;
+
+  // Static/FixedP: a controller already in steady state at a constant p.
+  // Dynamic (and Off, whose controller only answers current_p()) trains
+  // from kMinP, unless load_store() restored the type's persisted p and
+  // phase — then it resumes there instead of re-paying the training phase.
+  rt::AtmParams params;
+  double p = kMinP;
+  TrainingPhase phase = TrainingPhase::Training;
+  std::uint64_t trained = 0;
+  switch (config_.mode) {
+    case AtmMode::Static:
+      p = 1.0;
+      phase = TrainingPhase::Steady;
+      break;
+    case AtmMode::FixedP:
+      p = config_.fixed_p;
+      phase = TrainingPhase::Steady;
+      break;
+    case AtmMode::Dynamic:
+    case AtmMode::Off: {
+      params = type.atm_params();
+      const auto warm = warm_controllers_.find(type.id());
+      if (warm != warm_controllers_.end()) {
+        p = warm->second.p;
+        phase = warm->second.steady ? TrainingPhase::Steady : TrainingPhase::Training;
+        trained = warm->second.trained_tasks;
+      }
+      break;
+    }
+  }
+  slot_storage_.push_back(std::make_unique<TypeSlot>(type.id(), params, p, phase, trained,
+                                                     resolve_tolerance(type)));
+  TypeSlot* s = slot_storage_.back().get();
+  // mo: release publishes the fully built slot to lock-free readers.
+  cell.store(s, std::memory_order_release);
+  return *s;
+}
+
+const AtmEngine::KeyPlan& AtmEngine::key_plan(TypeSlot& slot, const rt::Task& task,
+                                              double p) {
+  const std::uint64_t fp = InputLayout::fingerprint_of(task);
+  // mo: acquire pairs with the release store below: a plan seen through the
+  // cache is fully built.
+  const KeyPlan* last = slot.last_plan.load(std::memory_order_acquire);
+  if (last != nullptr && last->layout_fp == fp && last->p == p) return *last;
+
+  MutexLock lock(slot.plans_mutex);
+  const KeyPlan* found = nullptr;
+  for (const auto& plan : slot.plans) {
+    if (plan->layout_fp == fp && plan->p == p) found = plan.get();
+  }
+  if (found == nullptr) {
+    auto plan = std::make_unique<KeyPlan>();
+    plan->layout_fp = fp;
+    plan->p = p;
+    // Planned gather (cached per type/layout/p): coalesced contiguous spans
+    // instead of a per-byte scatter walk over the shuffled order.
+    plan->gather = &sampler_.plan_for(slot.type_id, InputLayout::from_task(task), p);
+    // Tolerance-quantized keys live in a salted key space: a quantized key
+    // can never alias an exact key, and changing epsilon retires old entries.
+    plan->seed = key_seed(slot.type_id, fp) ^ slot.tol_fingerprint;
+    found = plan.get();
+    slot.plans.push_back(std::move(plan));
+  }
+  // mo: release publishes the plan to lock-free readers of the cache.
+  slot.last_plan.store(found, std::memory_order_release);
+  return *found;
+}
+
+AtmEngine::TypeProfile* AtmEngine::profile_for(TypeSlot& slot, const rt::TaskType& type) {
+  if (metrics_ == nullptr || type.id() >= config_.profile_max_types) return nullptr;
   // mo: acquire pairs with the publishing release store below so the
   // TypeProfile's instrument pointers are visible through the slot.
-  TypeProfile* p = profiles_[type.id()].load(std::memory_order_acquire);
+  TypeProfile* p = slot.profile.load(std::memory_order_acquire);
   if (p != nullptr) return p;
   MutexLock lock(profiles_mutex_);
   // mo: relaxed — the mutex orders this re-check against racing creators.
-  p = profiles_[type.id()].load(std::memory_order_relaxed);
+  p = slot.profile.load(std::memory_order_relaxed);
   if (p != nullptr) return p;
   auto prof = std::make_unique<TypeProfile>();
   const std::string base = "atm.type." + type.name() + ".";
@@ -172,51 +281,17 @@ AtmEngine::TypeProfile* AtmEngine::profile_for(const rt::TaskType& type) {
   p = prof.get();
   profile_storage_.push_back(std::move(prof));
   // mo: release publishes the fully-built TypeProfile to lock-free readers.
-  profiles_[type.id()].store(p, std::memory_order_release);
+  slot.profile.store(p, std::memory_order_release);
   return p;
 }
 
-TrainingController& AtmEngine::controller(const rt::TaskType& type) {
-  MutexLock lock(controllers_mutex_);
-  auto it = controllers_.find(type.id());
-  if (it != controllers_.end()) return *it->second;
-
-  std::unique_ptr<TrainingController> ctl;
-  switch (config_.mode) {
-    case AtmMode::Static:
-      ctl = TrainingController::make_steady(1.0);
-      break;
-    case AtmMode::FixedP:
-      ctl = TrainingController::make_steady(config_.fixed_p);
-      break;
-    case AtmMode::Dynamic:
-    case AtmMode::Off: {
-      // A warm-started type resumes at its persisted p and phase instead of
-      // re-paying the training phase (zero training executions on restart).
-      const auto warm = warm_controllers_.find(type.id());
-      if (warm != warm_controllers_.end()) {
-        ctl = std::make_unique<TrainingController>(
-            type.atm_params(), warm->second.p,
-            warm->second.steady ? TrainingPhase::Steady : TrainingPhase::Training,
-            warm->second.trained_tasks);
-      } else {
-        ctl = std::make_unique<TrainingController>(type.atm_params(), kMinP);
-      }
-      break;
-    }
-  }
-  auto [ins, ok] = controllers_.emplace(type.id(), std::move(ctl));
-  (void)ok;
-  return *ins->second;
-}
-
 std::uint64_t AtmEngine::key_seed(std::uint32_t type_id,
-                                  const InputLayout& layout) const noexcept {
+                                  std::uint64_t layout_fp) const noexcept {
   // Bind the key space to (type, layout): equal byte patterns of different
   // task types or shapes cannot alias in the THT.
   return splitmix64(config_.shuffle_seed ^
                     (static_cast<std::uint64_t>(type_id) * 0x9e3779b97f4a7c15ull) ^
-                    layout.fingerprint());
+                    layout_fp);
 }
 
 ToleranceSpec AtmEngine::resolve_tolerance(const rt::TaskType& type) const noexcept {
@@ -232,36 +307,31 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
   if (config_.mode == AtmMode::Off) return Decision::Execute;
   assert(task.type != nullptr);
   const rt::TaskType& type = *task.type;
-  TrainingController& ctl = controller(type);
+  TypeSlot& ts = slot(type);
+  TrainingController& ctl = ts.controller;
+  const TrainingController::State state = ctl.state();
 
   // Chaotic outputs identified during training are never memoized (§III-D);
   // skip the hash as well — the key would go unused.
-  if (ctl.is_blacklisted(task)) {
+  if (state.has_blacklist && ctl.is_blacklisted(task)) {
     // mo: relaxed — monotonic statistic; snapshot() tolerates races.
     stats_.blacklist_skips.fetch_add(1, std::memory_order_relaxed);
     return Decision::Execute;
   }
 
-  const double p = ctl.current_p();
-  const InputLayout layout = InputLayout::from_task(task);
-  // Planned gather (cached per type/layout/p): coalesced contiguous spans
-  // instead of a per-byte scatter walk over the shuffled order.
-  const GatherPlan& plan = sampler_.plan_for(type.id(), layout, p);
-
-  // Tolerance-quantized keys live in a salted key space: a quantized key
-  // can never alias an exact key, and changing epsilon retires old entries.
-  const ToleranceSpec tol = resolve_tolerance(type);
-  const std::uint64_t seed = key_seed(type.id(), layout) ^ tol.fingerprint();
+  const double p = state.p;
+  const ToleranceSpec& tol = ts.tol;
+  const KeyPlan& plan = key_plan(ts, task, p);
 
   const std::uint64_t h0 = now_ns();
-  const KeyResult key = compute_key(task, plan, seed, tol);
+  const KeyResult key = compute_key(task, *plan.gather, plan.seed, tol);
   const std::uint64_t h1 = now_ns();
   if (runtime_ != nullptr) {
     runtime_->tracer().record(lane, rt::TraceState::HashKey, h0, h1);
   }
   // Per-type profile: every record below reuses a timestamp this function
   // takes anyway, so profiling adds relaxed increments only.
-  TypeProfile* prof = profile_for(type);
+  TypeProfile* prof = profile_for(ts, type);
   if (prof != nullptr) prof->hash_ns->record(h1 - h0);
   // mo: relaxed — monotonic statistics; snapshot() tolerates races.
   stats_.keys_computed.fetch_add(1, std::memory_order_relaxed);
@@ -276,7 +346,7 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
   task.atm_p = p;
   task.atm_key_valid = true;
 
-  if (ctl.phase() == TrainingPhase::Steady) {
+  if (state.phase == TrainingPhase::Steady) {
     rt::TaskId creator = 0;
     std::uint64_t c0 = 0, c1 = 0;
     if (tht_.lookup_and_copy(type.id(), key.key, p, task, &creator, &c0, &c1)) {
@@ -405,7 +475,8 @@ rt::MemoizationHook::Decision AtmEngine::on_task_ready(rt::Task& task, std::size
 void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {
   if (config_.mode == AtmMode::Off || !task.atm_key_valid) return;
   const rt::TaskType& type = *task.type;
-  TrainingController& ctl = controller(type);
+  TypeSlot& ts = slot(type);
+  TrainingController& ctl = ts.controller;
 
   // 1. Training verification: compare the fresh outputs against the
   //    snapshot the approximation would have delivered.
@@ -439,7 +510,7 @@ void AtmEngine::on_task_executed(rt::Task& task, std::size_t lane) {
   }
   // mo: relaxed — monotonic statistic; snapshot() tolerates races.
   stats_.update_ns.fetch_add(u1 - u0, std::memory_order_relaxed);
-  if (TypeProfile* prof = profile_for(type)) prof->update_ns->record(u1 - u0);
+  if (TypeProfile* prof = profile_for(ts, type)) prof->update_ns->record(u1 - u0);
 
   // 3. Retire from the IKT and fulfill postponed copies: every consumer
   //    that deferred on us gets our outputs and completes now.
@@ -481,16 +552,20 @@ void AtmEngine::copy_outputs(const rt::Task& producer, rt::Task& consumer) noexc
   }
 }
 
-double AtmEngine::current_p(const rt::TaskType& type) { return controller(type).current_p(); }
+double AtmEngine::current_p(const rt::TaskType& type) {
+  return slot(type).controller.current_p();
+}
 
-TrainingPhase AtmEngine::phase(const rt::TaskType& type) { return controller(type).phase(); }
+TrainingPhase AtmEngine::phase(const rt::TaskType& type) {
+  return slot(type).controller.phase();
+}
 
 std::vector<double> AtmEngine::p_history(const rt::TaskType& type) {
-  return controller(type).p_history();
+  return slot(type).controller.p_history();
 }
 
 std::size_t AtmEngine::blacklist_size(const rt::TaskType& type) {
-  return controller(type).blacklist_size();
+  return slot(type).controller.blacklist_size();
 }
 
 AtmStatsSnapshot AtmEngine::stats() const {
@@ -507,13 +582,14 @@ AtmStatsSnapshot AtmEngine::stats() const {
 bool AtmEngine::save_store(const std::string& path, std::string* error) const {
   store::StoreImage image;
   {
-    MutexLock lock(controllers_mutex_);
-    for (const auto& [id, ctl] : controllers_) {
+    MutexLock lock(slots_mutex_);
+    for (const auto& slot : slot_storage_) {
+      const TrainingController& ctl = slot->controller;
       store::ControllerState state;
-      state.type_id = id;
-      state.steady = ctl->phase() == TrainingPhase::Steady;
-      state.p = ctl->current_p();
-      state.trained_tasks = ctl->trained_tasks();
+      state.type_id = slot->type_id;
+      state.steady = ctl.phase() == TrainingPhase::Steady;
+      state.p = ctl.current_p();
+      state.trained_tasks = ctl.trained_tasks();
       image.controllers.push_back(state);
     }
   }
@@ -530,7 +606,7 @@ bool AtmEngine::load_store(const std::string& path, std::string* error) {
   auto image = store::load(path, error);
   if (!image.has_value()) return false;
   {
-    MutexLock lock(controllers_mutex_);
+    MutexLock lock(slots_mutex_);
     for (const store::ControllerState& state : image->controllers) {
       warm_controllers_[state.type_id] = state;
     }
@@ -557,11 +633,8 @@ std::size_t AtmEngine::memory_bytes() const {
   std::size_t n = tht_.memory_bytes() + ikt_.memory_bytes() + sampler_.memory_bytes();
   if (l2_ != nullptr) n += l2_->memory_bytes();
   {
-    MutexLock lock(controllers_mutex_);
-    for (const auto& [id, ctl] : controllers_) {
-      (void)id;
-      n += ctl->memory_bytes();
-    }
+    MutexLock lock(slots_mutex_);
+    for (const auto& slot : slot_storage_) n += slot->controller.memory_bytes();
   }
   {
     MutexLock lock(checks_mutex_);

@@ -19,6 +19,7 @@
 //        fulfill postponed copies ──► complete deferred consumers.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -116,17 +117,70 @@ class AtmEngine final : public rt::MemoizationHook {
     obs::LatencyHistogram* update_ns = nullptr;
   };
 
-  /// Lazily created profile for `type`; nullptr before on_attach (no
-  /// registry yet) or past the AtmConfig::profile_max_types cap.
-  TypeProfile* profile_for(const rt::TaskType& type);
+  /// A type's key plan for one (input layout, p): the gather plan and the
+  /// key seed bound to that layout and the type's tolerance. Immutable once
+  /// published.
+  struct KeyPlan {
+    std::uint64_t layout_fp = 0;
+    double p = 0.0;
+    const GatherPlan* gather = nullptr;
+    std::uint64_t seed = 0;
+  };
+
+  /// Everything the engine keeps per task type, built on the type's first
+  /// use and never moved or freed before the engine: the training
+  /// controller, the resolved tolerance, the metric profile and the key plan
+  /// the type's last task used. The hot path reads it without a lock.
+  struct TypeSlot {
+    TypeSlot(std::uint32_t id, const rt::AtmParams& params, double initial_p,
+             TrainingPhase initial_phase, std::uint64_t trained_tasks,
+             const ToleranceSpec& spec)
+        : type_id(id),
+          controller(params, initial_p, initial_phase, trained_tasks),
+          tol(spec),
+          tol_fingerprint(spec.fingerprint()) {}
+
+    const std::uint32_t type_id;
+    TrainingController controller;
+    const ToleranceSpec tol;
+    const std::uint64_t tol_fingerprint;
+    /// Profile on the attached registry; nullptr until the type's first
+    /// profiled task after on_attach.
+    std::atomic<TypeProfile*> profile{nullptr};
+    /// Inline cache: the plan of the type's last task (nullptr before it).
+    std::atomic<const KeyPlan*> last_plan{nullptr};
+    /// Serializes building new plans; owns every plan the type has used.
+    Mutex plans_mutex;
+    std::vector<std::unique_ptr<KeyPlan>> plans ATM_GUARDED_BY(plans_mutex);
+  };
+
+  /// Where a type id lives in the slot table (see slot_segments_).
+  struct SlotIndex {
+    unsigned segment = 0;
+    std::size_t offset = 0;
+    std::size_t segment_size = 0;
+  };
+  [[nodiscard]] static SlotIndex slot_index(std::uint32_t type_id) noexcept;
+
+  /// The type's slot, created on first use. Lock-free once it exists.
+  TypeSlot& slot(const rt::TaskType& type);
+  TypeSlot& create_slot(const rt::TaskType& type);
+
+  /// The key plan for a task of `slot`'s type at `p`: the inline cache on a
+  /// repeat of the last (layout, p), else found or built under the slot's
+  /// plans mutex and published as the new last plan.
+  const KeyPlan& key_plan(TypeSlot& slot, const rt::Task& task, double p);
+
+  /// The slot's profile; nullptr before on_attach (no registry yet) or past
+  /// the AtmConfig::profile_max_types cap.
+  TypeProfile* profile_for(TypeSlot& slot, const rt::TaskType& type);
 
   /// Drop everything registered on the current runtime's registry: the
   /// collector and the cached per-type profile instruments.
   void release_registry();
 
-  TrainingController& controller(const rt::TaskType& type);
   [[nodiscard]] std::uint64_t key_seed(std::uint32_t type_id,
-                                       const InputLayout& layout) const noexcept;
+                                       std::uint64_t layout_fp) const noexcept;
   /// Effective tolerance for a type: engine-wide AtmConfig epsilons unless
   /// the type's AtmParams override them (>= 0); probes are engine-wide.
   [[nodiscard]] ToleranceSpec resolve_tolerance(const rt::TaskType& type) const noexcept;
@@ -139,11 +193,26 @@ class AtmEngine final : public rt::MemoizationHook {
   std::size_t collector_id_ = 0;
   bool collector_registered_ = false;
 
-  /// Per-type profile slots, sized to AtmConfig::profile_max_types at
-  /// construction. The hot path reads its slot lock-free; the mutex only
-  /// serializes lazy creation and teardown of the backing storage.
-  std::size_t profile_max_types_;
-  std::unique_ptr<std::atomic<TypeProfile*>[]> profiles_;
+  /// Per-type slots by type id, in segments of doubling size (segment k
+  /// holds 16 << k ids). The table grows without moving a slot, so every
+  /// 32-bit id has a place and a reader needs two acquire loads;
+  /// slots_mutex_ serializes creation only. Segments are sized by the
+  /// largest id seen, which stays small because runtimes number their
+  /// types densely from 0.
+  static constexpr unsigned kSlotSegmentBaseLog2 = 4;
+  static constexpr unsigned kSlotSegments = 33 - kSlotSegmentBaseLog2;
+  std::array<std::atomic<std::atomic<TypeSlot*>*>, kSlotSegments> slot_segments_{};
+  mutable Mutex slots_mutex_;
+  std::vector<std::unique_ptr<std::atomic<TypeSlot*>[]>> segment_storage_
+      ATM_GUARDED_BY(slots_mutex_);
+  std::vector<std::unique_ptr<TypeSlot>> slot_storage_ ATM_GUARDED_BY(slots_mutex_);
+  /// Controller states restored by load_store(), consumed when a
+  /// Dynamic-mode slot is first created for the type.
+  std::unordered_map<std::uint32_t, store::ControllerState> warm_controllers_
+      ATM_GUARDED_BY(slots_mutex_);
+
+  /// Serializes profile creation and teardown; the hot path reads the
+  /// slot's profile pointer lock-free.
   Mutex profiles_mutex_;
   std::vector<std::unique_ptr<TypeProfile>> profile_storage_
       ATM_GUARDED_BY(profiles_mutex_);
@@ -152,14 +221,6 @@ class AtmEngine final : public rt::MemoizationHook {
   InputSampler sampler_;
   AtmStats stats_;
   std::unique_ptr<store::L2CapacityStore> l2_;
-
-  mutable Mutex controllers_mutex_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<TrainingController>> controllers_
-      ATM_GUARDED_BY(controllers_mutex_);
-  /// Controller states restored by load_store(), consumed lazily when a
-  /// Dynamic-mode controller is first created for the type.
-  std::unordered_map<std::uint32_t, store::ControllerState> warm_controllers_
-      ATM_GUARDED_BY(controllers_mutex_);
 
   mutable Mutex checks_mutex_;
   std::unordered_map<const rt::Task*, PendingCheck> pending_checks_

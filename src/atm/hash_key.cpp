@@ -9,49 +9,6 @@ namespace atm {
 
 namespace {
 
-/// Resolve a global byte index in the concatenated-inputs view to a concrete
-/// byte. Tasks have a handful of regions, so a linear scan beats binary
-/// search here.
-struct ConcatView {
-  struct Piece {
-    const std::uint8_t* data;
-    std::size_t begin;  // global offset of first byte
-    std::size_t end;
-  };
-  std::vector<Piece> pieces;
-
-  explicit ConcatView(const rt::Task& task) {
-    std::size_t off = 0;
-    for (const auto& a : task.accesses) {
-      // Zero-length inputs contribute no bytes — and must not become
-      // pieces, so the clamp below can rely on pieces.back() being
-      // non-empty.
-      if (!a.is_input() || a.bytes == 0) continue;
-      pieces.push_back({static_cast<const std::uint8_t*>(a.ptr), off, off + a.bytes});
-      off += a.bytes;
-    }
-  }
-
-  /// Resolve `global`, clamping out-of-range indexes to the last input byte
-  /// and counting them in *oob: an index past the last region means the
-  /// caller's order was built for a different layout. Hashing the clamped
-  /// byte keeps the digest deterministic without reading out of bounds —
-  /// in every build type, not just when asserts are on.
-  [[nodiscard]] std::uint8_t at(std::size_t global, std::size_t* oob) const noexcept {
-    for (const auto& p : pieces) {
-      if (global < p.end) return p.data[global - p.begin];
-    }
-    ++*oob;
-    if (pieces.empty()) return 0;
-    const Piece& last = pieces.back();
-    return last.data[last.end - last.begin - 1];
-  }
-
-  [[nodiscard]] std::size_t total() const noexcept {
-    return pieces.empty() ? 0 : pieces.back().end;
-  }
-};
-
 // --- tolerance-quantized keys (src/atm/tolerance.hpp) ------------------------
 
 /// Only elements whose quantized position is at least this far from the cell
@@ -60,21 +17,19 @@ struct ConcatView {
 /// under any in-tolerance jitter, so probing it would be wasted lookups.
 constexpr double kProbeBand = 0.25;
 
-/// Zobrist XOR accumulator for tolerance-mode keys. Elements are fed in
-/// ascending layout order by both gather paths; since XOR commutes, the
-/// digest would agree even if they were not — but the probe ranking below
-/// breaks |frac| ties by feed order, so keeping the order identical makes
-/// the full KeyResult (probes included) agree between the plan path and the
-/// order path.
+/// Zobrist XOR accumulator for tolerance-mode keys. Since XOR commutes, the
+/// digest does not depend on the order elements are fed in; the probe
+/// ranking below breaks |frac| ties by feed order, and compute_key always
+/// feeds in ascending layout order, so the probe list is deterministic too.
 class QuantAccumulator {
  public:
   QuantAccumulator(std::uint64_t seed, const ToleranceSpec& spec) noexcept
       : seed_(seed), spec_(spec), max_probes_(spec.clamped_probes()) {}
 
   /// Feed one element. `global_off` is the byte offset of the element start
-  /// in the concatenated-inputs view (the position salt — identical for
-  /// both gather paths by construction). Elements of non-float regions and
-  /// partial trailing float elements match exactly via their raw bits.
+  /// in the concatenated-inputs view (the position salt). Elements of
+  /// non-float regions and partial trailing float elements match exactly
+  /// via their raw bits.
   void add(rt::ElemType elem, const std::uint8_t* data, std::size_t avail,
            std::size_t global_off) noexcept {
     std::uint64_t raw = 0;
@@ -142,41 +97,6 @@ class QuantAccumulator {
 };
 
 }  // namespace
-
-KeyResult compute_key(const rt::Task& task, const std::vector<std::uint32_t>& order,
-                      double p, std::uint64_t seed) {
-  HashStream stream(seed);
-
-  if (p >= 1.0) {
-    // Static ATM / p = 100%: stream whole regions, no gather.
-    std::size_t total = 0;
-    for (const auto& a : task.accesses) {
-      if (!a.is_input()) continue;
-      stream.update(a.const_bytes());
-      total += a.bytes;
-    }
-    return {stream.finalize(), total};
-  }
-
-  const ConcatView view(task);
-  const std::size_t count = selection_count(view.total(), p);
-  // Gather selected bytes into a small staging buffer so the hash core can
-  // consume whole stripes. Measured (docs/DESIGN.md §2): full-input keys
-  // are compute-bound, set by the hash core's throughput on cache-resident
-  // inputs, while sampled keys are bound by this per-byte gather.
-  std::uint8_t staging[512];
-  std::size_t fill = 0;
-  std::size_t oob = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    staging[fill++] = view.at(i < order.size() ? order[i] : view.total(), &oob);
-    if (fill == sizeof staging) {
-      stream.update(std::span<const std::uint8_t>(staging, fill));
-      fill = 0;
-    }
-  }
-  if (fill != 0) stream.update(std::span<const std::uint8_t>(staging, fill));
-  return {stream.finalize(), count, oob};
-}
 
 KeyResult compute_key(const rt::Task& task, const GatherPlan& plan,
                       std::uint64_t seed) {
@@ -294,68 +214,6 @@ KeyResult compute_key(const rt::Task& task, const GatherPlan& plan,
     ++region;
   }
   for (; run_idx < plan.runs.size(); ++run_idx) oob += plan.runs[run_idx].length;
-  return acc.finalize(hashed, oob);
-}
-
-KeyResult compute_key(const rt::Task& task, const std::vector<std::uint32_t>& order,
-                      double p, std::uint64_t seed, const ToleranceSpec& spec) {
-  if (!spec.active()) return compute_key(task, order, p, seed);  // raw-bytes fast path
-
-  // Cold path (no cached plan): resolve each selected byte to the global
-  // offset of the element containing it, dedupe, and feed the elements in
-  // ascending order — the same element set, in the same order, as the plan
-  // path above, so the keys (probes included) agree bit-for-bit.
-  struct Piece {
-    const std::uint8_t* data;
-    std::size_t begin;
-    std::size_t bytes;
-    rt::ElemType elem;
-  };
-  std::vector<Piece> pieces;
-  std::size_t total = 0;
-  for (const auto& a : task.accesses) {
-    if (!a.is_input() || a.bytes == 0) continue;
-    pieces.push_back(
-        {static_cast<const std::uint8_t*>(a.ptr), total, a.bytes, a.elem});
-    total += a.bytes;
-  }
-
-  const std::size_t count = selection_count(total, p);
-  std::size_t oob = 0;
-  std::vector<std::size_t> starts;  // global offsets of selected element starts
-  starts.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::size_t global = i < order.size() ? order[i] : total;
-    if (global >= total) {
-      // Mirror the exact path's clamp-and-count: an out-of-layout index
-      // resolves to the last input byte (and thus its element).
-      ++oob;
-      if (total == 0) continue;
-      global = total - 1;
-    }
-    for (const auto& piece : pieces) {
-      if (global < piece.begin + piece.bytes) {
-        const std::size_t off = global - piece.begin;
-        const std::size_t esize = rt::elem_size(piece.elem);
-        starts.push_back(piece.begin + off / esize * esize);
-        break;
-      }
-    }
-  }
-  std::sort(starts.begin(), starts.end());
-  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
-
-  QuantAccumulator acc(seed, spec);
-  std::size_t hashed = 0;
-  std::size_t piece_idx = 0;
-  for (const std::size_t start : starts) {
-    while (start >= pieces[piece_idx].begin + pieces[piece_idx].bytes) ++piece_idx;
-    const Piece& piece = pieces[piece_idx];
-    const std::size_t off = start - piece.begin;
-    const std::size_t avail = std::min(rt::elem_size(piece.elem), piece.bytes - off);
-    acc.add(piece.elem, piece.data + off, avail, start);
-    hashed += avail;
-  }
   return acc.finalize(hashed, oob);
 }
 

@@ -8,11 +8,43 @@
 
 namespace atm {
 
+namespace {
+
+constexpr std::uint64_t kFingerprintBasis = 0x1a7a5ced5eedULL;
+
+std::uint64_t fingerprint_step(std::uint64_t h, std::size_t bytes,
+                               rt::ElemType elem) noexcept {
+  h = splitmix64(h ^ bytes);
+  return splitmix64(h ^ static_cast<std::uint64_t>(elem));
+}
+
+/// The p >= 1 plan: every byte is selected, so the sorted selection splits
+/// into exactly one whole run per non-empty region.
+GatherPlan full_input_plan(const InputLayout& layout) {
+  GatherPlan plan;
+  for (std::size_t r = 0; r < layout.regions.size(); ++r) {
+    const std::size_t bytes = layout.regions[r].bytes;
+    if (bytes == 0) continue;
+    plan.runs.push_back({static_cast<std::uint32_t>(r), 0,
+                         static_cast<std::uint32_t>(bytes)});
+    plan.bytes += bytes;
+  }
+  plan.runs.shrink_to_fit();
+  return plan;
+}
+
+}  // namespace
+
 std::uint64_t InputLayout::fingerprint() const noexcept {
-  std::uint64_t h = 0x1a7a5ced5eedULL;
-  for (const auto& r : regions) {
-    h = splitmix64(h ^ r.bytes);
-    h = splitmix64(h ^ static_cast<std::uint64_t>(r.elem));
+  std::uint64_t h = kFingerprintBasis;
+  for (const auto& r : regions) h = fingerprint_step(h, r.bytes, r.elem);
+  return h;
+}
+
+std::uint64_t InputLayout::fingerprint_of(const rt::Task& task) noexcept {
+  std::uint64_t h = kFingerprintBasis;
+  for (const auto& a : task.accesses) {
+    if (a.is_input()) h = fingerprint_step(h, a.bytes, a.elem);
   }
   return h;
 }
@@ -43,9 +75,10 @@ GatherPlan build_gather_plan(const InputLayout& layout,
 
   // Sort the selected prefix: the hash no longer needs the shuffled order
   // (any fixed convention works, keys only meet same-plan keys), and sorted
-  // indexes coalesce into contiguous runs.
-  std::vector<std::uint32_t> selected(order.begin(),
-                                      order.begin() + static_cast<std::ptrdiff_t>(count));
+  // indexes coalesce into contiguous runs. Indexes an undersized order
+  // lacks read as `total`, one past the layout.
+  std::vector<std::uint32_t> selected(count, static_cast<std::uint32_t>(total));
+  std::copy_n(order.begin(), std::min(count, order.size()), selected.begin());
   std::sort(selected.begin(), selected.end());
 
   // Region boundaries as global offsets, for splitting runs per region.
@@ -92,8 +125,10 @@ const GatherPlan& InputSampler::plan_for(std::uint32_t type_id,
     auto it = plans_.find(key);
     if (it != plans_.end()) return *it->second;
   }
-  const auto& order = order_for(type_id, layout);
-  auto plan = std::make_unique<GatherPlan>(build_gather_plan(layout, order, effective_p));
+  auto plan = std::make_unique<GatherPlan>(
+      effective_p >= 1.0
+          ? full_input_plan(layout)
+          : build_gather_plan(layout, order_for(type_id, layout), effective_p));
   SharedWriteLock lock(plan_mutex_);
   auto [it, inserted] = plans_.emplace(key, std::move(plan));
   (void)inserted;  // a racing builder may have won; theirs is equivalent

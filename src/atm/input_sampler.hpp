@@ -41,6 +41,11 @@ struct InputLayout {
   /// Order-sensitive fingerprint for cache keying.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
+  /// fingerprint() of from_task(task), without building the layout: the
+  /// engine fingerprints every ready task and builds a layout only when a
+  /// type meets a new one.
+  [[nodiscard]] static std::uint64_t fingerprint_of(const rt::Task& task) noexcept;
+
   /// Input regions (In + InOut) of a task, in declaration order.
   [[nodiscard]] static InputLayout from_task(const rt::Task& task);
 };
@@ -71,6 +76,8 @@ struct GatherPlan {
 };
 
 /// Build a plan from the first selection_count(total, p) entries of `order`.
+/// Indexes past the layout, and those an undersized `order` lacks, become
+/// runs past the last region, which compute_key clamps and counts as oob.
 /// Exposed for tests and benches; production callers use
 /// InputSampler::plan_for, which caches the result.
 [[nodiscard]] GatherPlan build_gather_plan(const InputLayout& layout,
@@ -85,14 +92,17 @@ class InputSampler {
   /// The shuffled byte-index order for (type, layout). Built on first use
   /// ("we shuffle the vector of indexes the first time a task type is
   /// executed and store it in the runtime system"), then shared read-only.
+  /// Only plans with p < 1 are cut from it.
   const std::vector<std::uint32_t>& order_for(std::uint32_t type_id,
                                               const InputLayout& layout);
 
-  /// The coalesced gather plan for (type, layout, p). Built once from the
-  /// shuffled order on first use, then shared read-only; Dynamic training
-  /// touches at most kPConfigs distinct p values per type, so the cache
-  /// stays small. The hot path (AtmEngine::on_task_ready) uses this instead
-  /// of the raw order.
+  /// The coalesced gather plan for (type, layout, p), built on first use and
+  /// then shared read-only; Dynamic training touches at most kPConfigs
+  /// distinct p values per type, so the cache stays small. At p >= 1 every
+  /// byte is selected, so the plan is each non-empty region whole, in
+  /// declaration order: built in closed form, without the shuffled order
+  /// (bit-identical to build_gather_plan(layout, order, 1.0)). Below 1 it is
+  /// cut from order_for's prefix.
   const GatherPlan& plan_for(std::uint32_t type_id, const InputLayout& layout,
                              double p);
 

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -29,7 +28,8 @@ class TrainingController {
  public:
   /// Dynamic mode: train from kMinP with the type's parameters. A warm
   /// start (store snapshot load) passes the persisted p/phase and the tasks
-  /// already spent training.
+  /// already spent training. Static/FixedP modes start in Steady at their
+  /// constant p, so no training ever happens.
   explicit TrainingController(rt::AtmParams params, double initial_p = kMinP,
                               TrainingPhase initial_phase = TrainingPhase::Training,
                               std::uint64_t trained_tasks = 0)
@@ -38,16 +38,21 @@ class TrainingController {
         p_(initial_p),
         trained_tasks_(trained_tasks) {}
 
-  /// Static/FixedP modes: a controller already in steady state with the
-  /// given constant p (no training ever happens).
-  [[nodiscard]] static std::unique_ptr<TrainingController> make_steady(double p) {
-    return std::make_unique<TrainingController>(rt::AtmParams{}, p,
-                                                TrainingPhase::Steady);
-  }
-
   [[nodiscard]] TrainingPhase phase() const {
     MutexLock lock(mutex_);
     return phase_;
+  }
+
+  /// What a ready task needs from the controller, read under one lock:
+  /// is_blacklisted() is only worth asking once the blacklist is non-empty.
+  struct State {
+    TrainingPhase phase = TrainingPhase::Training;
+    double p = kMinP;
+    bool has_blacklist = false;
+  };
+  [[nodiscard]] State state() const {
+    MutexLock lock(mutex_);
+    return {phase_, p_, !unstable_outputs_.empty()};
   }
 
   [[nodiscard]] double current_p() const {

@@ -1,6 +1,7 @@
-// Tests for hash-key computation over sampled task inputs (§III-B/C):
-// determinism, sensitivity at p=100%, insensitivity of type-aware sampled
-// keys to low-order mantissa noise, and sensitivity to MSB changes.
+// Tests for hash-key computation over sampled task inputs (§III-B/C), on the
+// engine's plan path: determinism, sensitivity at p=100%, insensitivity of
+// type-aware sampled keys to low-order mantissa noise, sensitivity to MSB
+// changes, and clamp-and-count of out-of-layout gathers.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -20,15 +21,20 @@ rt::Task make_task(const double* data, std::size_t n, double* out, std::size_t m
   return t;
 }
 
+/// The engine's key path: the sampler's cached plan for (type 0, the task's
+/// input layout, p), streamed by compute_key.
+KeyResult key_at(InputSampler& sampler, const rt::Task& t, double p, std::uint64_t seed) {
+  return compute_key(t, sampler.plan_for(0, InputLayout::from_task(t), p), seed);
+}
+
 TEST(HashKey, IdenticalInputsSameKey) {
   std::vector<double> a(64, 1.25), b(64, 1.25);
   double out = 0;
   const auto ta = make_task(a.data(), a.size(), &out, 1);
   const auto tb = make_task(b.data(), b.size(), &out, 1);
   InputSampler sampler(true, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(ta));
   for (double p : {1.0, 0.5, 0.25, 1.0 / 32768}) {
-    EXPECT_EQ(compute_key(ta, order, p, 9).key, compute_key(tb, order, p, 9).key) << p;
+    EXPECT_EQ(key_at(sampler, ta, p, 9).key, key_at(sampler, tb, p, 9).key) << p;
   }
 }
 
@@ -39,8 +45,7 @@ TEST(HashKey, FullPKeySensitiveToAnyByte) {
   const auto ta = make_task(a.data(), a.size(), nullptr, 0);
   const auto tb = make_task(b.data(), b.size(), nullptr, 0);
   InputSampler sampler(true, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(ta));
-  EXPECT_NE(compute_key(ta, order, 1.0, 9).key, compute_key(tb, order, 1.0, 9).key);
+  EXPECT_NE(key_at(sampler, ta, 1.0, 9).key, key_at(sampler, tb, 1.0, 9).key);
 }
 
 TEST(HashKey, TypeAwareSampledKeyIgnoresMantissaTail) {
@@ -54,10 +59,9 @@ TEST(HashKey, TypeAwareSampledKeyIgnoresMantissaTail) {
   const auto ta = make_task(a.data(), a.size(), nullptr, 0);
   const auto tb = make_task(b.data(), b.size(), nullptr, 0);
   InputSampler sampler(true, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(ta));
-  EXPECT_EQ(compute_key(ta, order, 0.25, 9).key, compute_key(tb, order, 0.25, 9).key);
+  EXPECT_EQ(key_at(sampler, ta, 0.25, 9).key, key_at(sampler, tb, 0.25, 9).key);
   // At p = 100% the keys must differ.
-  EXPECT_NE(compute_key(ta, order, 1.0, 9).key, compute_key(tb, order, 1.0, 9).key);
+  EXPECT_NE(key_at(sampler, ta, 1.0, 9).key, key_at(sampler, tb, 1.0, 9).key);
 }
 
 TEST(HashKey, SampledKeySeesMsbChange) {
@@ -67,27 +71,24 @@ TEST(HashKey, SampledKeySeesMsbChange) {
   const auto ta = make_task(a.data(), a.size(), nullptr, 0);
   const auto tb = make_task(b.data(), b.size(), nullptr, 0);
   InputSampler sampler(true, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(ta));
   // p = 1/8 selects exactly the MSB of every double: the flip must show.
-  EXPECT_NE(compute_key(ta, order, 0.125, 9).key, compute_key(tb, order, 0.125, 9).key);
+  EXPECT_NE(key_at(sampler, ta, 0.125, 9).key, key_at(sampler, tb, 0.125, 9).key);
 }
 
 TEST(HashKey, SeedSeparatesKeySpaces) {
   std::vector<double> a(32, 2.5);
   const auto t = make_task(a.data(), a.size(), nullptr, 0);
   InputSampler sampler(true, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(t));
-  EXPECT_NE(compute_key(t, order, 1.0, 1).key, compute_key(t, order, 1.0, 2).key);
+  EXPECT_NE(key_at(sampler, t, 1.0, 1).key, key_at(sampler, t, 1.0, 2).key);
 }
 
 TEST(HashKey, BytesHashedMatchesSelection) {
   std::vector<double> a(64, 1.0);
   const auto t = make_task(a.data(), a.size(), nullptr, 0);
   InputSampler sampler(false, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(t));
-  EXPECT_EQ(compute_key(t, order, 1.0, 9).bytes_hashed, 512u);
-  EXPECT_EQ(compute_key(t, order, 0.5, 9).bytes_hashed, 256u);
-  EXPECT_EQ(compute_key(t, order, 1.0 / 32768, 9).bytes_hashed, 1u);
+  EXPECT_EQ(key_at(sampler, t, 1.0, 9).bytes_hashed, 512u);
+  EXPECT_EQ(key_at(sampler, t, 0.5, 9).bytes_hashed, 256u);
+  EXPECT_EQ(key_at(sampler, t, 1.0 / 32768, 9).bytes_hashed, 1u);
 }
 
 TEST(HashKey, MultiRegionConcatenation) {
@@ -102,12 +103,10 @@ TEST(HashKey, MultiRegionConcatenation) {
   two.accesses.push_back(rt::in(x.data() + 8, 8));
 
   InputSampler sampler(false, 1);
-  const auto layout1 = InputLayout::from_task(one);
-  const auto layout2 = InputLayout::from_task(two);
-  const auto& order1 = sampler.order_for(0, layout1);
-  const auto& order2 = sampler.order_for(0, layout2);
-  const auto k1 = compute_key(one, order1, 1.0, splitmix64(layout1.fingerprint()));
-  const auto k2 = compute_key(two, order2, 1.0, splitmix64(layout2.fingerprint()));
+  const auto k1 = key_at(sampler, one, 1.0,
+                         splitmix64(InputLayout::from_task(one).fingerprint()));
+  const auto k2 = key_at(sampler, two, 1.0,
+                         splitmix64(InputLayout::from_task(two).fingerprint()));
   EXPECT_NE(k1.key, k2.key);
 }
 
@@ -116,9 +115,8 @@ TEST(HashKey, GatherPathDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<double>(i) * 0.5;
   const auto t = make_task(a.data(), a.size(), nullptr, 0);
   InputSampler sampler(true, 2);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(t));
-  const auto k1 = compute_key(t, order, 0.1, 3);
-  const auto k2 = compute_key(t, order, 0.1, 3);
+  const auto k1 = key_at(sampler, t, 0.1, 3);
+  const auto k2 = key_at(sampler, t, 0.1, 3);
   EXPECT_EQ(k1.key, k2.key);
   EXPECT_EQ(k1.bytes_hashed, k2.bytes_hashed);
 }
@@ -127,25 +125,26 @@ TEST(HashKey, GatherPathDeterministic) {
 
 TEST(HashKeyPlanned, MatchesFullStreamDigestAtP1) {
   // At p >= 1 the plan is one run per region in declaration order, so the
-  // planned digest must equal the order-based full-input fast path's.
+  // planned digest must equal the whole input regions streamed end to end.
   std::vector<float> x(64, 3.0f), y(32, -1.0f);
+  float out = 0.0f;
   rt::Task t;
   t.accesses.push_back(rt::in(x.data(), x.size()));
+  t.accesses.push_back(rt::out(&out, 1));
   t.accesses.push_back(rt::in(y.data(), y.size()));
   InputSampler sampler(true, 1);
-  const auto layout = InputLayout::from_task(t);
-  const auto& order = sampler.order_for(0, layout);
-  const GatherPlan& plan = sampler.plan_for(0, layout, 1.0);
-  const auto via_order = compute_key(t, order, 1.0, 9);
-  const auto via_plan = compute_key(t, plan, 9);
-  EXPECT_EQ(via_order.key, via_plan.key);
-  EXPECT_EQ(via_order.bytes_hashed, via_plan.bytes_hashed);
+  const auto via_plan = key_at(sampler, t, 1.0, 9);
+  HashStream whole(9);
+  whole.update(t.accesses[0].const_bytes());
+  whole.update(t.accesses[2].const_bytes());
+  EXPECT_EQ(via_plan.key, whole.finalize());
+  EXPECT_EQ(via_plan.bytes_hashed, (x.size() + y.size()) * sizeof(float));
 }
 
 TEST(HashKeyPlanned, SameSelectionSemanticsAsGather) {
-  // The planned key must agree/disagree exactly where the gathered key
-  // does: identical inputs agree; mantissa-tail noise is invisible at
-  // p = 25% type-aware; an MSB flip is visible at p = 1/8.
+  // The planned key agrees/disagrees exactly where the selected byte set
+  // says it should: identical inputs agree; mantissa-tail noise is
+  // invisible at p = 25% type-aware; an MSB flip is visible at p = 1/8.
   std::vector<double> a(47);
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = 0.05 + 0.001 * static_cast<double>(i);
   auto tail = a;
@@ -197,8 +196,8 @@ TEST(HashKeyPlanned, StagingBoundariesDoNotChangeDigest) {
 // An order or plan built for a different (larger) layout must never read
 // out of bounds — not in Release either, where the old Debug-only assert
 // was compiled away and the gather silently hashed whatever lay past the
-// region. Every out-of-range position is clamped and reported in
-// KeyResult::oob (surfaced by the engine as the key_gather_oob stat).
+// region. Every out-of-range position is counted in KeyResult::oob
+// (surfaced by the engine as the key_gather_oob stat) and never hashed.
 
 TEST(HashKeyOob, OutOfRangeOrderIndexesClampAndCount) {
   std::vector<double> a(4, 1.0);
@@ -208,20 +207,22 @@ TEST(HashKeyOob, OutOfRangeOrderIndexesClampAndCount) {
     bogus_order[i] = static_cast<std::uint32_t>(64 + i);  // all out of range
   }
   // p = 0.5 over 32 input bytes selects 16 indexes — all out of range here.
-  const KeyResult r = compute_key(t, bogus_order, 0.5, 9);
+  const GatherPlan plan =
+      build_gather_plan(InputLayout::from_task(t), bogus_order, 0.5);
+  const KeyResult r = compute_key(t, plan, 9);
   EXPECT_EQ(r.oob, 16u);
-  EXPECT_EQ(r.bytes_hashed, 16u);  // clamped bytes still feed the digest
-  // Deterministic: the clamped gather hashes the same bytes every time.
-  EXPECT_EQ(r.key, compute_key(t, bogus_order, 0.5, 9).key);
+  EXPECT_EQ(r.bytes_hashed, 0u);  // past the region: counted, never read
+  EXPECT_EQ(r.key, compute_key(t, plan, 9).key);  // deterministic
 }
 
 TEST(HashKeyOob, InRangeOrderReportsZeroOob) {
   std::vector<double> a(64, 2.5);
   const auto t = make_task(a.data(), a.size(), nullptr, 0);
   InputSampler sampler(true, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(t));
+  const InputLayout layout = InputLayout::from_task(t);
+  const auto& order = sampler.order_for(0, layout);
   for (double p : {1.0, 0.5, 1.0 / 128}) {
-    EXPECT_EQ(compute_key(t, order, p, 9).oob, 0u) << p;
+    EXPECT_EQ(compute_key(t, build_gather_plan(layout, order, p), 9).oob, 0u) << p;
   }
 }
 
@@ -229,8 +230,10 @@ TEST(HashKeyOob, UndersizedOrderVectorCountsMissingIndexes) {
   std::vector<double> a(64, 2.5);
   const auto t = make_task(a.data(), a.size(), nullptr, 0);
   std::vector<std::uint32_t> short_order = {0, 1, 2, 3};  // selection needs 256
-  const KeyResult r = compute_key(t, short_order, 0.5, 9);
+  const GatherPlan plan = build_gather_plan(InputLayout::from_task(t), short_order, 0.5);
+  const KeyResult r = compute_key(t, plan, 9);
   EXPECT_EQ(r.oob, 256u - 4u);
+  EXPECT_EQ(r.bytes_hashed, 4u);
 }
 
 TEST(HashKeyOob, PlanRunPastRegionTruncatesAndCounts) {
@@ -271,9 +274,8 @@ TEST_P(HashKeyPSweep, EveryPStepDistinguishesMsbNoise) {
   const auto ta = make_task(a.data(), a.size(), nullptr, 0);
   const auto tb = make_task(b.data(), b.size(), nullptr, 0);
   InputSampler sampler(true, 4);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(ta));
-  EXPECT_EQ(compute_key(ta, order, p, 1).key, compute_key(ta, order, p, 1).key);
-  EXPECT_NE(compute_key(ta, order, p, 1).key, compute_key(tb, order, p, 1).key);
+  EXPECT_EQ(key_at(sampler, ta, p, 1).key, key_at(sampler, ta, p, 1).key);
+  EXPECT_NE(key_at(sampler, ta, p, 1).key, key_at(sampler, tb, p, 1).key);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPSteps, HashKeyPSweep, ::testing::Range(0, 16));

@@ -6,15 +6,16 @@
 //    value classes (NaN/Inf/denormal/zero) never alias finite normals;
 //  * key-level consequences — near-equal tasks get equal keys, clearly
 //    separated tasks get different keys w.h.p.;
-//  * epsilon = 0 is bit-identical to the exact raw-bytes digests on both
-//    gather paths;
-//  * the plan path and the order path agree on the FULL KeyResult (primary
-//    key and probe list) in tolerance mode — the Zobrist XOR digest is
-//    gather-order independent, unlike the exact digest;
+//  * epsilon = 0 is bit-identical to the exact raw-bytes digest;
+//  * the FULL KeyResult (primary key and probe list) in tolerance mode
+//    depends only on the elements a plan touches — not on the order the
+//    selected bytes came in, which of an element's bytes were selected, or
+//    how the runs are chunked — unlike the exact digest;
 //  * near-boundary values emit a probe list that contains the neighboring
 //    cell's primary key (the multi-probe containment property).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -44,6 +45,50 @@ std::uint64_t bits_of(double v) {
 
 Quantized quant(double v, const ToleranceSpec& spec, bool subnormal = false) {
   return quantize_value(v, bits_of(v), spec, subnormal);
+}
+
+/// The same bytes as `plan`, gathered one byte per run.
+GatherPlan split_into_bytes(const GatherPlan& plan) {
+  GatherPlan out;
+  for (const auto& run : plan.runs) {
+    for (std::uint32_t k = 0; k < run.length; ++k) {
+      out.runs.push_back({run.region, run.offset + k, 1});
+    }
+  }
+  out.bytes = plan.bytes;
+  return out;
+}
+
+/// `plan` with every run widened to the whole elements it touches: other
+/// bytes, the same element set.
+GatherPlan widen_to_elements(const GatherPlan& plan, const InputLayout& layout) {
+  GatherPlan out;
+  for (const auto& run : plan.runs) {
+    const auto& region = layout.regions[run.region];
+    const std::size_t esize = rt::elem_size(region.elem);
+    const std::size_t begin = run.offset / esize * esize;
+    const std::size_t end = std::min(
+        region.bytes, (run.offset + run.length + esize - 1) / esize * esize);
+    if (!out.runs.empty() && out.runs.back().region == run.region &&
+        out.runs.back().offset + out.runs.back().length >= begin) {
+      out.runs.back().length = static_cast<std::uint32_t>(end - out.runs.back().offset);
+    } else {
+      out.runs.push_back({run.region, static_cast<std::uint32_t>(begin),
+                          static_cast<std::uint32_t>(end - begin)});
+    }
+  }
+  for (const auto& run : out.runs) out.bytes += run.length;
+  return out;
+}
+
+void expect_same_key_result(const KeyResult& a, const KeyResult& b, const char* what,
+                            double p) {
+  EXPECT_EQ(a.key, b.key) << what << " p=" << p;
+  EXPECT_EQ(a.bytes_hashed, b.bytes_hashed) << what << " p=" << p;
+  ASSERT_EQ(a.probe_count, b.probe_count) << what << " p=" << p;
+  for (unsigned i = 0; i < a.probe_count; ++i) {
+    EXPECT_EQ(a.probes[i], b.probes[i]) << what << " p=" << p;
+  }
 }
 
 // --- quantize_value: grid guarantees ---------------------------------------
@@ -184,17 +229,14 @@ TEST(ToleranceKey, InactiveSpecIsBitIdenticalToExactKeys) {
   const auto t = make_task(a.data(), a.size());
   InputSampler sampler(true, 1);
   const auto layout = InputLayout::from_task(t);
-  const auto& order = sampler.order_for(0, layout);
   const ToleranceSpec off{};  // rel = abs = 0
   for (double p : {1.0, 0.5, 0.125, 1.0 / 4096}) {
-    const auto exact = compute_key(t, order, p, 9);
-    const auto tol = compute_key(t, order, p, 9, off);
+    const GatherPlan& plan = sampler.plan_for(0, layout, p);
+    const auto exact = compute_key(t, plan, 9);
+    const auto tol = compute_key(t, plan, 9, off);
     EXPECT_EQ(exact.key, tol.key) << p;
     EXPECT_EQ(exact.bytes_hashed, tol.bytes_hashed) << p;
     EXPECT_EQ(tol.probe_count, 0u) << p;
-
-    const GatherPlan& plan = sampler.plan_for(0, layout, p);
-    EXPECT_EQ(compute_key(t, plan, 9).key, compute_key(t, plan, 9, off).key) << p;
   }
 }
 
@@ -217,14 +259,11 @@ TEST(ToleranceKey, InputsWithinEpsilonOfCentersGetEqualKeys) {
   const auto tb = make_task(b.data(), b.size());
   InputSampler sampler(true, 1);
   const auto layout = InputLayout::from_task(ta);
-  const auto& order = sampler.order_for(0, layout);
   for (double p : {1.0, 0.5, 1.0 / 64}) {
-    EXPECT_EQ(compute_key(ta, order, p, 9, spec).key,
-              compute_key(tb, order, p, 9, spec).key)
+    const GatherPlan& plan = sampler.plan_for(0, layout, p);
+    EXPECT_EQ(compute_key(ta, plan, 9, spec).key, compute_key(tb, plan, 9, spec).key)
         << p;
   }
-  const GatherPlan& plan = sampler.plan_for(0, layout, 1.0);
-  EXPECT_EQ(compute_key(ta, plan, 9, spec).key, compute_key(tb, plan, 9, spec).key);
 }
 
 TEST(ToleranceKey, SeparatedCoordinateChangesKey) {
@@ -238,12 +277,8 @@ TEST(ToleranceKey, SeparatedCoordinateChangesKey) {
   const auto ta = make_task(a.data(), a.size());
   const auto tb = make_task(b.data(), b.size());
   InputSampler sampler(true, 1);
-  const auto layout = InputLayout::from_task(ta);
-  const auto& order = sampler.order_for(0, layout);
   // p = 1: every element (incl. index 17) is sampled.
-  EXPECT_NE(compute_key(ta, order, 1.0, 9, spec).key,
-            compute_key(tb, order, 1.0, 9, spec).key);
-  const GatherPlan& plan = sampler.plan_for(0, layout, 1.0);
+  const GatherPlan& plan = sampler.plan_for(0, InputLayout::from_task(ta), 1.0);
   EXPECT_NE(compute_key(ta, plan, 9, spec).key, compute_key(tb, plan, 9, spec).key);
 }
 
@@ -252,9 +287,8 @@ TEST(ToleranceKey, SeedSeparatesKeySpaces) {
   std::vector<double> a(32, 2.5);
   const auto t = make_task(a.data(), a.size());
   InputSampler sampler(true, 1);
-  const auto& order = sampler.order_for(0, InputLayout::from_task(t));
-  EXPECT_NE(compute_key(t, order, 1.0, 1, spec).key,
-            compute_key(t, order, 1.0, 2, spec).key);
+  const GatherPlan& plan = sampler.plan_for(0, InputLayout::from_task(t), 1.0);
+  EXPECT_NE(compute_key(t, plan, 1, spec).key, compute_key(t, plan, 2, spec).key);
 }
 
 TEST(ToleranceKey, FingerprintChangesWithEpsilon) {
@@ -267,12 +301,13 @@ TEST(ToleranceKey, FingerprintChangesWithEpsilon) {
   EXPECT_EQ(ToleranceSpec{}.fingerprint(), 0u);
 }
 
-// --- key level: plan path and order path agree -----------------------------
+// --- key level: the element set decides, not the gather --------------------
 
-TEST(ToleranceKey, PlanAndOrderPathsAgreeOnFullKeyResult) {
-  // The Zobrist XOR digest is gather-order independent: for every p, both
-  // paths must produce the same primary key AND the same probe list — the
-  // engine may mix them (plan cache hit vs cold order path) freely.
+TEST(ToleranceKey, GatherOrderAndGranularityDoNotChangeFullKeyResult) {
+  // The Zobrist XOR digest depends only on the elements a plan touches: a
+  // plan cut from a reordered selection prefix, the same bytes gathered one
+  // per run, and runs widened to whole elements must all produce the same
+  // primary key AND the same probe list, at every p.
   const ToleranceSpec spec{.rel = 1e-3, .probes = 4};
   Rng rng(kSeed + 7);
   for (int round = 0; round < 8; ++round) {
@@ -281,21 +316,25 @@ TEST(ToleranceKey, PlanAndOrderPathsAgreeOnFullKeyResult) {
     const auto t = make_task(a.data(), a.size());
     InputSampler sampler(round % 2 == 0, 1 + round);
     const auto layout = InputLayout::from_task(t);
-    const auto& order = sampler.order_for(0, layout);
     for (double p : {1.0, 0.5, 0.25, 1.0 / 128}) {
-      const auto via_order = compute_key(t, order, p, 9, spec);
-      const auto via_plan = compute_key(t, sampler.plan_for(0, layout, p), 9, spec);
-      EXPECT_EQ(via_order.key, via_plan.key) << round << " p=" << p;
-      EXPECT_EQ(via_order.bytes_hashed, via_plan.bytes_hashed) << round << " p=" << p;
-      ASSERT_EQ(via_order.probe_count, via_plan.probe_count) << round << " p=" << p;
-      for (unsigned i = 0; i < via_order.probe_count; ++i) {
-        EXPECT_EQ(via_order.probes[i], via_plan.probes[i]) << round << " p=" << p;
-      }
+      const GatherPlan& plan = sampler.plan_for(0, layout, p);
+      const auto base = compute_key(t, plan, 9, spec);
+
+      auto reordered = sampler.order_for(0, layout);
+      const auto count = static_cast<std::ptrdiff_t>(plan.bytes);
+      std::reverse(reordered.begin(), reordered.begin() + count);
+      expect_same_key_result(
+          base, compute_key(t, build_gather_plan(layout, reordered, p), 9, spec),
+          "reordered", p);
+      expect_same_key_result(base, compute_key(t, split_into_bytes(plan), 9, spec),
+                             "byte runs", p);
+      expect_same_key_result(
+          base, compute_key(t, widen_to_elements(plan, layout), 9, spec), "widened", p);
     }
   }
 }
 
-TEST(ToleranceKey, MultiRegionPlanAndOrderAgree) {
+TEST(ToleranceKey, MultiRegionGatherGranularityDoesNotChangeKey) {
   const ToleranceSpec spec{.abs = 1e-2, .probes = 8};
   std::vector<double> x(31), y(17);
   std::vector<float> z(53);
@@ -309,15 +348,13 @@ TEST(ToleranceKey, MultiRegionPlanAndOrderAgree) {
   t.accesses.push_back(rt::in(y.data(), y.size()));
   InputSampler sampler(true, 3);
   const auto layout = InputLayout::from_task(t);
-  const auto& order = sampler.order_for(0, layout);
   for (double p : {1.0, 0.3, 1.0 / 64}) {
-    const auto via_order = compute_key(t, order, p, 9, spec);
-    const auto via_plan = compute_key(t, sampler.plan_for(0, layout, p), 9, spec);
-    EXPECT_EQ(via_order.key, via_plan.key) << p;
-    ASSERT_EQ(via_order.probe_count, via_plan.probe_count) << p;
-    for (unsigned i = 0; i < via_order.probe_count; ++i) {
-      EXPECT_EQ(via_order.probes[i], via_plan.probes[i]) << p;
-    }
+    const GatherPlan& plan = sampler.plan_for(0, layout, p);
+    const auto base = compute_key(t, plan, 9, spec);
+    expect_same_key_result(base, compute_key(t, split_into_bytes(plan), 9, spec),
+                           "byte runs", p);
+    expect_same_key_result(
+        base, compute_key(t, widen_to_elements(plan, layout), 9, spec), "widened", p);
   }
 }
 
@@ -398,13 +435,11 @@ TEST(ToleranceKey, IntegerElementsStayExact) {
   tb.accesses.push_back(rt::in(b.data(), b.size()));
   InputSampler sampler(true, 1);
   const auto layout = InputLayout::from_task(ta);
-  const auto& order = sampler.order_for(0, layout);
   const GatherPlan& plan = sampler.plan_for(0, layout, 1.0);
-  EXPECT_NE(compute_key(ta, order, 1.0, 9, spec).key,
-            compute_key(tb, order, 1.0, 9, spec).key);
-  // Identical integer tasks agree across both paths.
-  const auto ka = compute_key(ta, order, 1.0, 9, spec);
-  EXPECT_EQ(ka.key, compute_key(ta, plan, 9, spec).key);
+  EXPECT_NE(compute_key(ta, plan, 9, spec).key, compute_key(tb, plan, 9, spec).key);
+  // Identical integer tasks agree, whichever of their bytes are gathered.
+  const auto ka = compute_key(ta, plan, 9, spec);
+  EXPECT_EQ(ka.key, compute_key(ta, sampler.plan_for(0, layout, 0.25), 9, spec).key);
   EXPECT_EQ(ka.probe_count, 0u);  // integers are never probe candidates
 }
 

@@ -68,11 +68,11 @@ TEST(Training, TauExactlyAtThresholdFails) {
 }
 
 TEST(Training, SteadyControllerIgnoresReports) {
-  auto ctl = TrainingController::make_steady(0.5);
-  EXPECT_EQ(ctl->phase(), TrainingPhase::Steady);
-  EXPECT_DOUBLE_EQ(ctl->current_p(), 0.5);
-  ctl->report_trained(1.0);
-  EXPECT_DOUBLE_EQ(ctl->current_p(), 0.5);  // p frozen
+  TrainingController ctl(rt::AtmParams{}, 0.5, TrainingPhase::Steady);
+  EXPECT_EQ(ctl.phase(), TrainingPhase::Steady);
+  EXPECT_DOUBLE_EQ(ctl.current_p(), 0.5);
+  ctl.report_trained(1.0);
+  EXPECT_DOUBLE_EQ(ctl.current_p(), 0.5);  // p frozen
 }
 
 TEST(Training, PHistoryRecordsSteps) {
