@@ -152,7 +152,7 @@ BENCHMARK(BM_ComputeKey_Planned)->Arg(50)->Arg(100)->Arg(300);
 
 void BM_Tht_InsertEvictCycle(benchmark::State& state) {
   // Small M so eviction continuously recycles arena buffers (steady state).
-  TaskHistoryTable tht(4, 4, /*arena_reserve=*/8 << 20);
+  TaskHistoryTable tht(4, 4);
   auto block = random_block(5);
   rt::Task producer;
   producer.id = 1;

@@ -34,6 +34,6 @@ int main() {
             << "  (paper average: 9.4%)\n"
             << "ATM memory counts THT snapshots + IKT + sampler index caches +\n"
                "training state actually pinned at the end of the run; the\n"
-               "pre-faulted arena slack is recyclable and excluded (docs/DESIGN.md §5).\n";
+               "recyclable arena slack is excluded (docs/DESIGN.md §5).\n";
   return 0;
 }

@@ -57,10 +57,6 @@ struct AtmConfig {
   /// Seed for the per-task-type index shuffles (deterministic by default).
   std::uint64_t shuffle_seed = 0x5eedULL;
 
-  /// Snapshot-arena bytes pre-faulted at engine construction. Keeps kernel
-  /// first-touch page faults out of the measured run; recycled on eviction.
-  std::size_t arena_reserve_bytes = std::size_t{8} << 20;
-
   /// The paper's rejected "original approach" (§III-E), reproduced for the
   /// ablation: store the complete inputs alongside exact (p = 100%) entries
   /// and byte-compare them on every hit, eliminating hash false positives

@@ -57,8 +57,8 @@ std::size_t output_bytes(const rt::Task& task) noexcept {
 
 AtmEngine::AtmEngine(AtmConfig config)
     : config_(config),
-      tht_(config.log2_buckets, config.bucket_capacity, config.arena_reserve_bytes,
-           config.verify_full_inputs, config.eviction),
+      tht_(config.log2_buckets, config.bucket_capacity, config.verify_full_inputs,
+           config.eviction),
       ikt_(),
       sampler_(config.type_aware, config.shuffle_seed) {
   stats_.set_reuse_log_cap(config_.reuse_log_cap);

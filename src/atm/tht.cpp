@@ -79,14 +79,12 @@ bool TaskHistoryTable::Entry::inputs_equal(const rt::Task& task) const noexcept 
 }
 
 TaskHistoryTable::TaskHistoryTable(unsigned log2_buckets, unsigned bucket_capacity,
-                                   std::size_t arena_reserve, bool verify_full_inputs,
-                                   EvictionPolicy eviction)
+                                   bool verify_full_inputs, EvictionPolicy eviction)
     : buckets_(std::size_t{1} << log2_buckets),
       mask_((HashKey{1} << log2_buckets) - 1),
       capacity_(bucket_capacity != 0 ? bucket_capacity : 1),
       verify_full_inputs_(verify_full_inputs),
-      eviction_(eviction),
-      arena_(std::size_t{4} << 20, arena_reserve) {
+      eviction_(eviction) {
   memory_.store(buckets_.size() * sizeof(Bucket));
 }
 

@@ -78,14 +78,13 @@ using EvictionSink = std::function<void(EvictedEntry&&)>;
 class TaskHistoryTable {
  public:
   /// `log2_buckets` is the paper's N (0 => a single bucket); `bucket_capacity`
-  /// is the paper's M. Snapshot storage comes from a pre-faulted arena:
-  /// `arena_reserve` bytes are touched at construction (keeping page-fault
-  /// cost out of the measured run) and evicted buffers recycle.
+  /// is the paper's M. Snapshot storage comes from a lazily grown arena
+  /// whose pages fault in on first write; evicted buffers recycle.
   /// `verify_full_inputs` stores the complete inputs of exact (p = 100%)
   /// entries and byte-compares them on hit (the §III-E ablation);
   /// `eviction` selects FIFO (paper) or LRU replacement.
   TaskHistoryTable(unsigned log2_buckets, unsigned bucket_capacity,
-                   std::size_t arena_reserve = 0, bool verify_full_inputs = false,
+                   bool verify_full_inputs = false,
                    EvictionPolicy eviction = EvictionPolicy::Fifo);
 
   /// Steady-state hit path: find (type, key, p) and copy the stored outputs
@@ -146,11 +145,8 @@ class TaskHistoryTable {
 
   [[nodiscard]] std::size_t entry_count() const;
   /// Bytes pinned by live entries: snapshots + entry/bucket overheads
-  /// (Table III accounting; arena slack is recyclable and reported
-  /// separately by reserved_bytes()).
+  /// (Table III accounting; recyclable arena slack is excluded).
   [[nodiscard]] std::size_t memory_bytes() const;
-  /// Total arena slab bytes resident (>= memory pinned by snapshots).
-  [[nodiscard]] std::size_t reserved_bytes() const { return arena_.reserved_bytes(); }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_.load(); }
   [[nodiscard]] unsigned bucket_count() const noexcept {
     return static_cast<unsigned>(buckets_.size());

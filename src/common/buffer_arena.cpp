@@ -1,25 +1,17 @@
 #include "common/buffer_arena.hpp"
 
-#include <cstring>
-
 namespace atm {
 
 namespace {
 constexpr std::size_t align8(std::size_t n) noexcept { return (n + 7) & ~std::size_t{7}; }
 }  // namespace
 
-BufferArena::BufferArena(std::size_t slab_bytes, std::size_t initial_reserve)
-    : slab_bytes_(slab_bytes != 0 ? slab_bytes : std::size_t{4} << 20) {
-  // No other thread can see the arena yet; the lock only satisfies
-  // add_slab's capability requirement.
-  MutexLock lock(mutex_);
-  if (initial_reserve != 0) add_slab(initial_reserve);
-}
+BufferArena::BufferArena(std::size_t slab_bytes)
+    : slab_bytes_(slab_bytes != 0 ? slab_bytes : std::size_t{4} << 20) {}
 
 void BufferArena::add_slab(std::size_t bytes) {
-  auto slab = std::make_unique<std::uint8_t[]>(bytes);
-  // Touch every page now so callers never hit a first-touch fault.
-  std::memset(slab.get(), 0, bytes);
+  // Uninitialized: a page is faulted in when a snapshot first writes it.
+  auto slab = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
   slab_cursor_ = slab.get();
   slab_remaining_ = bytes;
   reserved_ += bytes;

@@ -1,12 +1,11 @@
-// Pre-faulted, recycling buffer arena for THT output snapshots.
+// Recycling buffer arena for THT output snapshots.
 //
 // Why: storing a task's outputs in the THT needs a buffer that lives until
-// eviction. Fresh heap memory pays one kernel page fault per 4 KiB on first
-// touch — on the evaluation machine that dwarfs the actual copy. The arena
-// allocates slabs up front, touches every page once at slab creation (out
-// of the measured region), then bump-allocates; released buffers go to an
-// exact-size freelist, so steady-state insert/evict churn never touches a
-// cold page.
+// eviction. The arena bump-allocates from slabs and keeps released buffers
+// on exact-size freelists, so steady-state insert/evict churn reuses warm
+// buffers instead of calling malloc. Slabs are allocated on demand and
+// never pre-touched: the kernel faults in only the pages a snapshot copy
+// writes.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +20,9 @@ namespace atm {
 
 class BufferArena {
  public:
-  /// `initial_reserve` bytes are allocated and pre-touched immediately;
-  /// further slabs of `slab_bytes` are added (and pre-touched) on demand.
-  explicit BufferArena(std::size_t slab_bytes = std::size_t{4} << 20,
-                       std::size_t initial_reserve = 0);
+  /// Nothing is allocated until the first acquire(); slabs of `slab_bytes`
+  /// (0 selects 4 MiB) are added on demand and left untouched.
+  explicit BufferArena(std::size_t slab_bytes = std::size_t{4} << 20);
 
   BufferArena(const BufferArena&) = delete;
   BufferArena& operator=(const BufferArena&) = delete;
@@ -37,7 +35,8 @@ class BufferArena {
   /// Return a buffer previously acquired with the same size.
   void release(std::uint8_t* buffer, std::size_t bytes);
 
-  /// Total bytes held in slabs (the arena's resident footprint).
+  /// Total bytes of slab address space allocated. Pages no snapshot has
+  /// written are not resident, so this bounds the footprint from above.
   [[nodiscard]] std::size_t reserved_bytes() const;
 
   /// Bytes currently handed out to callers.

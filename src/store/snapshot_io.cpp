@@ -143,7 +143,7 @@ bool save(const std::string& path, const StoreImage& image, std::string* error) 
     return false;
   }
   Writer header;
-  header.bytes.insert(header.bytes.end(), kMagic, kMagic + sizeof(kMagic));
+  header.bytes.assign(kMagic, kMagic + sizeof(kMagic));
   header.put(kFormatVersion);
   header.put(kEndianMarker);
   header.put(static_cast<std::uint64_t>(payload.bytes.size()));

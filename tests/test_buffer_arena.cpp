@@ -1,7 +1,8 @@
-// Tests for the pre-faulted recycling buffer arena backing THT snapshots.
+// Tests for the lazily grown recycling buffer arena backing THT snapshots.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <vector>
@@ -50,10 +51,48 @@ TEST(BufferArena, LargeRequestGetsOwnSlab) {
   EXPECT_GE(arena.reserved_bytes(), std::size_t{1} << 16);
 }
 
-TEST(BufferArena, InitialReservePrefaults) {
-  BufferArena arena(1 << 16, 1 << 20);
-  EXPECT_GE(arena.reserved_bytes(), std::size_t{1} << 20);
+TEST(BufferArena, ReservesNothingUntilFirstAcquire) {
+  BufferArena arena(1 << 16);
+  EXPECT_EQ(arena.reserved_bytes(), 0u);
   EXPECT_EQ(arena.outstanding_bytes(), 0u);
+  ASSERT_NE(arena.acquire(64), nullptr);
+  EXPECT_GT(arena.reserved_bytes(), 0u);
+}
+
+TEST(BufferArena, FreshSlabBuffersAreWritableAndRecycle) {
+  // Slab memory is handed out untouched: every buffer carved from one
+  // fresh slab must hold its own first and last byte without overlap.
+  constexpr std::size_t kSlab = 1 << 16;
+  BufferArena arena(kSlab);
+  const std::size_t sizes[] = {8, 13, 100, 1000, 4096};
+  struct Carved {
+    std::uint8_t* p;
+    std::size_t n;
+  };
+  std::vector<Carved> carved;
+  std::size_t used = 0;
+  for (std::size_t i = 0;; ++i) {
+    const std::size_t n = sizes[i % std::size(sizes)];
+    const std::size_t aligned = (n + 7) & ~std::size_t{7};
+    if (used + aligned > kSlab) break;
+    used += aligned;
+    std::uint8_t* p = arena.acquire(n);
+    ASSERT_NE(p, nullptr);
+    p[0] = static_cast<std::uint8_t>(i);
+    p[n - 1] = static_cast<std::uint8_t>(~i);
+    carved.push_back({p, n});
+  }
+  EXPECT_EQ(arena.reserved_bytes(), kSlab);  // all from the one slab
+  for (std::size_t i = 0; i < carved.size(); ++i) {
+    EXPECT_EQ(carved[i].p[0], static_cast<std::uint8_t>(i)) << "buffer " << i;
+    EXPECT_EQ(carved[i].p[carved[i].n - 1], static_cast<std::uint8_t>(~i)) << "buffer " << i;
+  }
+
+  // A released buffer comes back only for a request of the same size.
+  const Carved victim = carved[3];  // 1000 bytes
+  arena.release(victim.p, victim.n);
+  EXPECT_NE(arena.acquire(victim.n + 8), victim.p);
+  EXPECT_EQ(arena.acquire(victim.n), victim.p);
 }
 
 TEST(BufferArena, OutstandingAccounting) {

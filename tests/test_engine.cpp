@@ -269,7 +269,7 @@ TEST(Engine, ThtPersistsAcrossTaskwait) {
 }
 
 TEST(Engine, MemoryAccountingIncludesAllStructures) {
-  AtmEngine engine({.mode = AtmMode::Static, .arena_reserve_bytes = 0});
+  AtmEngine engine({.mode = AtmMode::Static});
   Runtime runtime({.num_threads = 1});
   runtime.attach_memoizer(&engine);
   const auto* type = runtime.register_type(

@@ -23,7 +23,7 @@ rt::Task make_producer(const float* in, std::size_t n, float* out, std::size_t m
 }
 
 TEST(Verification, AcceptsTrueTwin) {
-  TaskHistoryTable tht(4, 8, 0, /*verify_full_inputs=*/true);
+  TaskHistoryTable tht(4, 8, /*verify_full_inputs=*/true);
   std::vector<float> in(64, 1.0f), out(8, 2.0f);
   auto producer = make_producer(in.data(), 64, out.data(), 8, 1);
   tht.insert(0, 0xAB, 1.0, producer);
@@ -38,7 +38,7 @@ TEST(Verification, AcceptsTrueTwin) {
 TEST(Verification, RejectsForgedKeyCollision) {
   // Same key, different input bytes: without verification this would be a
   // silent false positive; with it, the hit is rejected and counted.
-  TaskHistoryTable tht(4, 8, 0, /*verify_full_inputs=*/true);
+  TaskHistoryTable tht(4, 8, /*verify_full_inputs=*/true);
   std::vector<float> in(64, 1.0f), out(8, 2.0f);
   auto producer = make_producer(in.data(), 64, out.data(), 8, 1);
   tht.insert(0, 0xAB, 1.0, producer);
@@ -53,7 +53,7 @@ TEST(Verification, RejectsForgedKeyCollision) {
 TEST(Verification, SampledEntriesSkipInputStorage) {
   // p < 1 entries must not store/compare inputs — approximation means the
   // inputs legitimately differ.
-  TaskHistoryTable tht(4, 8, 0, /*verify_full_inputs=*/true);
+  TaskHistoryTable tht(4, 8, /*verify_full_inputs=*/true);
   std::vector<float> in(64, 1.0f), out(8, 2.0f);
   auto producer = make_producer(in.data(), 64, out.data(), 8, 1);
   tht.insert(0, 0xAB, 0.25, producer);
@@ -68,7 +68,7 @@ TEST(Verification, MemoryIncludesStoredInputs) {
   std::vector<float> in(1024, 1.0f), out(8, 2.0f);
   auto producer = make_producer(in.data(), in.size(), out.data(), 8, 1);
   TaskHistoryTable plain(2, 8);
-  TaskHistoryTable verifying(2, 8, 0, true);
+  TaskHistoryTable verifying(2, 8, true);
   plain.insert(0, 0x1, 1.0, producer);
   verifying.insert(0, 0x1, 1.0, producer);
   EXPECT_GE(verifying.memory_bytes(), plain.memory_bytes() + in.size() * sizeof(float));
@@ -111,7 +111,7 @@ TEST(Lru, HitRefreshesRecency) {
   p3.id = 3;
   p3.accesses.push_back(rt::out(v3.data(), 1));
 
-  TaskHistoryTable lru(0, 2, 0, false, EvictionPolicy::Lru);
+  TaskHistoryTable lru(0, 2, false, EvictionPolicy::Lru);
   lru.insert(0, 0x1, 1.0, p1);
   lru.insert(0, 0x2, 1.0, p2);
   // Touch key 1: it becomes most recent.

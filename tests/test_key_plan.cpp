@@ -47,8 +47,7 @@ struct SixRegionTask {
   }
 };
 
-HashKey engine_key(AtmConfig config, const rt::TaskType& type, std::size_t salt = 0) {
-  config.arena_reserve_bytes = 0;
+HashKey engine_key(const AtmConfig& config, const rt::TaskType& type, std::size_t salt = 0) {
   AtmEngine engine(config);
   SixRegionTask t(&type, salt);
   (void)engine.on_task_ready(t.task, 0);
@@ -112,7 +111,7 @@ TEST(KeyPlanFullInput, ClosedFormEqualsPlanCutFromOrder) {
 
 TEST(KeyPlanFullInput, StaticEngineBuildsNoOrder) {
   const rt::TaskType type(0, {.name = "t", .memoizable = true, .atm = {}});
-  AtmEngine engine({.mode = AtmMode::Static, .arena_reserve_bytes = 0});
+  AtmEngine engine({.mode = AtmMode::Static});
   SixRegionTask t(&type);
   (void)engine.on_task_ready(t.task, 0);
   EXPECT_EQ(engine.sampler().cache_entries(), 0u);
@@ -207,8 +206,7 @@ TEST(TypeSlot, FarApartTypeIdsKeepSeparateState) {
   // Hooks driven directly (no runtime): ids on both sides of slot segment
   // boundaries and deep into a later segment each memoize only their own
   // tasks.
-  AtmEngine engine({.mode = AtmMode::Static, .use_ikt = false, .arena_reserve_bytes = 0,
-                    .profile_max_types = 0});
+  AtmEngine engine({.mode = AtmMode::Static, .use_ikt = false, .profile_max_types = 0});
   const std::vector<std::uint32_t> ids = {0, 15, 16, 47, 48, 1000};
   std::vector<std::unique_ptr<rt::TaskType>> types;
   for (const std::uint32_t id : ids) {
@@ -238,8 +236,7 @@ TEST(TypeSlot, ConcurrentFirstUseAgreesWithSingleThreadedKeys) {
   constexpr int kThreads = 4;
   constexpr int kTasksPerThread = 8;
   const rt::TaskType type(3, {.name = "t", .memoizable = true, .atm = {}});
-  const AtmConfig config{.mode = AtmMode::FixedP, .use_ikt = false, .fixed_p = 1.0 / 128,
-                         .arena_reserve_bytes = 0};
+  const AtmConfig config{.mode = AtmMode::FixedP, .use_ikt = false, .fixed_p = 1.0 / 128};
 
   struct Work {
     SixRegionTask six;

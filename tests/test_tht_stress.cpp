@@ -230,7 +230,7 @@ TEST(ThtStress, MultiProbeConcurrentNeighborHits) {
 TEST(ThtStress, LruModeConcurrentChurn) {
   // LRU takes the exclusive-lock path on every hit; make sure the
   // move-to-back dance survives concurrent readers and writers.
-  TaskHistoryTable tht(2, 4, 0, false, EvictionPolicy::Lru);
+  TaskHistoryTable tht(2, 4, false, EvictionPolicy::Lru);
   std::vector<std::vector<float>> payloads(kKeys);
   for (int k = 0; k < kKeys; ++k) {
     payloads[k].assign(kPayloadFloats, static_cast<float>(k));
