@@ -1,8 +1,8 @@
-// PR 10 scale-out benchmark: machine-readable numbers for the steal-half
-// scheduler (batched steal_many transfer, locality-ordered victim rings,
-// per-thief steal backoff) under the configurations the change targets —
-// oversubscribed and high-worker-count storms, where wasted steal sweeps
-// and one-task-per-CAS transfer used to dominate. Emits JSON consumed by
+// Scale-out benchmark for the work-stealing scheduler: machine-readable
+// numbers for oversubscribed and high-worker-count storms, where steal
+// sweeps and task transfer dominate. (The steal-half transfer, victim rings
+// and steal backoff it was first written for have since been removed; see
+// docs/BENCHMARKS.md.) Emits JSON consumed by
 // `tools/run_benches.sh <build> json`, which writes BENCH_pr10.json.
 //
 //   pr10_scale [--out=PATH]     (default: JSON to stdout)
@@ -14,25 +14,18 @@
 //                                    BENCH_pr5/pr7.json (t1/t4 continuity
 //                                    gate: <= 1.03x regression vs PR 9)
 //   sched_storm_steal_oversub_t{8,16}
-//                                    8- and 16-lane storm configs, the
-//                                    steal-half/backoff win surface
-//                                    (>= 1.15x vs the PR 9 binary in the
-//                                    interleaved cross-build A/B)
+//                                    8- and 16-lane storm configs
 //   sched_acquire_storm_lN           scheduler-level contended acquisition
 //                                    storm (producer lane + N-1 thieves,
 //                                    tasks acquired but never executed):
 //                                    ns per acquisition. The runtime-level
 //                                    storms are submission-bound on small
 //                                    hosts (t1 == t8 ns/task), which hides
-//                                    the acquisition path; this config is
-//                                    the cross-build A/B surface where the
-//                                    steal-half >= 1.15x gate is measured
+//                                    the acquisition path; this config
+//                                    measures it directly
 //   sched_steal_batch_*              steal-batch-size histogram stats from
-//                                    the 16-lane storm (mean > 1
-//                                    proves batched transfer engages)
-//   sched_victim_distance_p50        victim-distance histogram median (low
-//                                    = locality-ordered rings keep steals
-//                                    near)
+//                                    the 16-lane storm (1 per deque steal,
+//                                    the chain length per inbox adoption)
 //
 // Lane counts are fixed, not derived from hardware_concurrency(), so every
 // host writes the same bench names (the host's thread count is recorded in
@@ -68,14 +61,13 @@ struct Entry {
 constexpr std::size_t kStormTasks = 20'000;
 constexpr int kStormWaves = 5;
 
-/// Steal-batch/victim-distance histogram stats after an oversubscribed
-/// storm through the full runtime (the registry owns the histograms; the
-/// scheduler records into them on every successful steal).
+/// Steal-batch histogram stats after an oversubscribed storm through the
+/// full runtime (the registry owns the histogram; the scheduler records
+/// into it on every successful steal).
 struct StealHistStats {
   double batch_mean = 0.0;
   double batch_p95 = 0.0;
   std::uint64_t batch_count = 0;
-  double distance_p50 = 0.0;
 };
 
 StealHistStats oversub_steal_hist(unsigned workers) {
@@ -84,8 +76,8 @@ StealHistStats oversub_steal_hist(unsigned workers) {
       runtime.register_type({.name = "fine", .memoizable = false, .atm = {}});
   // Nested submissions: children are owner pushes into the submitting
   // worker's deque (not the external inboxes), so worker deques build the
-  // backlogs steal_many transfers in batches — the path the steal-batch
-  // histogram instruments.
+  // backlogs thieves steal from — the path the steal-batch histogram
+  // instruments.
   constexpr std::size_t kRoots = 256;
   constexpr int kChildren = 16;
   std::vector<float> cells(kRoots * (kChildren + 1), 1.0f);
@@ -114,18 +106,14 @@ StealHistStats oversub_steal_hist(unsigned workers) {
     stats.batch_p95 = m->hist.p95;
     stats.batch_count = m->hist.count;
   }
-  if (const obs::MetricSample* m = snap.find("sched.victim_distance")) {
-    stats.distance_p50 = m->hist.p50;
-  }
   return stats;
 }
 
 /// Scheduler-level contended acquisition storm: lane 0 owner-pushes a deque
-/// backlog; every other lane drains through try_pop (victim-ring sweep +
-/// steal transfer + private consume), and lane 0 helps drain its own. Tasks
-/// are acquired but never executed, so the measured ns/task IS the
-/// acquisition path — the quantity steal-half batching and steal backoff
-/// change. One run, ns per acquired task.
+/// backlog; every other lane drains through try_pop (steal sweep + private
+/// consume), and lane 0 helps drain its own. Tasks are acquired but never
+/// executed, so the measured ns/task IS the acquisition path. One run, ns
+/// per acquired task.
 double acquire_storm_ns(unsigned lanes) {
   constexpr std::size_t kTasks = 100'000;
   constexpr int kWaves = 5;
@@ -218,8 +206,8 @@ int main(int argc, char** argv) {
 
   // --- Oversubscribed / high-lane-count storms (the PR 10 win surface) ------
   // More lanes than cores: lanes time-slice, so every wasted steal sweep
-  // burns a quantum some other lane needed. 16 lanes exercises wide victim
-  // rings.
+  // burns a quantum some other lane needed. 16 lanes exercises wide steal
+  // sweeps.
   constexpr unsigned kOversub = 8;
   constexpr unsigned kWide = 16;
   double oversub_ns = 0.0, wide_ns = 0.0;
@@ -246,13 +234,12 @@ int main(int argc, char** argv) {
     entries.push_back({"sched_acquire_storm_l16", acquire_l16});
   }
 
-  // --- Steal-batch / victim-distance histograms ------------------------------
+  // --- Steal-batch histogram ------------------------------------------------
   const StealHistStats hist = oversub_steal_hist(kWide);
   entries.push_back({"sched_steal_batch_mean", hist.batch_mean, "tasks"});
   entries.push_back({"sched_steal_batch_p95", hist.batch_p95, "tasks"});
   entries.push_back(
       {"sched_steal_batches", static_cast<double>(hist.batch_count), "count"});
-  entries.push_back({"sched_victim_distance_p50", hist.distance_p50, "lanes"});
 
   std::FILE* out = stdout;
   if (!out_path.empty()) {
@@ -296,10 +283,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "pr10_scale: oversub t%u = %.1f ns/task, wide t%u = %.1f ns/task, "
                "acquire storm l8 = %.1f ns (l16 = %.1f), "
-               "steal batches = %llu (mean %.1f tasks, victim-distance p50 "
-               "%.1f)\n",
+               "steal batches = %llu (mean %.1f tasks)\n",
                kOversub, oversub_ns, kWide, wide_ns, acquire_l8, acquire_l16,
-               static_cast<unsigned long long>(hist.batch_count), hist.batch_mean,
-               hist.distance_p50);
+               static_cast<unsigned long long>(hist.batch_count), hist.batch_mean);
   return 0;
 }

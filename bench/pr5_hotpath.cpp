@@ -23,7 +23,6 @@
 //   stream_peak_arena_slots          records resident at the stream's peak
 //   dep_{exact,tree}_<app>           two-level index counters from the
 //                                    iterative apps (test preset, mode off)
-//   sched_inbox_batch_cap_storm      adaptive batch cap after a t1 storm
 //   tht_lookup_hit_t{1,4}            THT lookup continuity numbers
 //   reuse_percent_blackscholes_static  sanity: memoization still reuses
 #include <cstdio>
@@ -119,23 +118,6 @@ double stream_ns_per_task(unsigned threads, int reps, std::size_t* peak_slots) {
   return 1e9 / rates[rates.size() / 2];
 }
 
-/// One t1 storm through a runtime we keep around long enough to read the
-/// scheduler's adaptive state (batch cap, steal misses).
-rt::SchedulerStats storm_sched_stats() {
-  rt::Runtime runtime({.num_threads = 1});
-  const auto* type =
-      runtime.register_type({.name = "fine", .memoizable = false, .atm = {}});
-  std::vector<float> cells(20'000, 1.0f);
-  for (int w = 0; w < 2; ++w) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      float* cell = &cells[i];
-      runtime.submit(type, [cell] { *cell += 1.0f; }, {rt::inout(cell, 1)});
-    }
-    runtime.taskwait();
-  }
-  return runtime.sched_stats();
-}
-
 /// THT steady-state hit path: lookup_and_copy on a prefilled table, with
 /// `threads` concurrent readers hammering disjoint key streams.
 double tht_lookup_hit_ns(unsigned threads) {
@@ -227,11 +209,6 @@ int main(int argc, char** argv) {
     exact_total += run.atm.dep_exact_hits;
     tree_total += run.atm.dep_tree_fallbacks;
   }
-
-  // --- Adaptive inbox batching after a t1 storm ------------------------------
-  const rt::SchedulerStats sched = storm_sched_stats();
-  entries.push_back({"sched_inbox_batch_cap_storm",
-                     static_cast<double>(sched.inbox_batch_cap), "tasks"});
 
   // --- THT lookup continuity -------------------------------------------------
   entries.push_back({"tht_lookup_hit_t1", tht_lookup_hit_ns(1)});

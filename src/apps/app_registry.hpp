@@ -104,8 +104,8 @@ struct RunResult {
   std::size_t atm_memory_bytes = 0; ///< ATM structures (Table III numerator)
   std::size_t task_input_bytes = 0; ///< memoized task's input size (Table I)
 
-  /// Scheduler observability (adaptive inbox batch cap, steal misses) read
-  /// from the runtime before teardown.
+  /// Scheduler observability (depth, steal sweeps, inbox drains) read from
+  /// the runtime before teardown.
   rt::SchedulerStats sched;
 
   /// Trace data (only when RunConfig::tracing): per-lane summaries etc. are

@@ -14,10 +14,10 @@ void append_double(std::string& out, double v) {
 }
 
 /// Histogram series entry: summary stats plus the full per-bucket CDF as
-/// [bucket_lo, cumulative_count] pairs over occupied buckets. Until PR 10
-/// the series flattened histograms to a p50 scalar, which hid multi-modal
-/// shapes (e.g. steal batch sizes clustering at both 1 and kMaxSteal);
-/// consumers now get the whole distribution at every tick.
+/// [bucket_lo, cumulative_count] pairs over occupied buckets. A p50 scalar
+/// would hide multi-modal shapes (e.g. steal batch sizes clustering at 1 for
+/// deque steals and at the chain length for inbox adoptions); consumers get
+/// the whole distribution at every tick.
 void append_hist(std::string& out, const LatencyHistogram::Snapshot& h) {
   out += "{\"count\":";
   out += std::to_string(h.count);

@@ -97,9 +97,6 @@ void Runtime::register_collectors() {
     const SchedulerStats s = sched_stats();
     sink.gauge("sched.depth", static_cast<std::int64_t>(s.depth), "tasks",
                "scheduler");
-    sink.gauge("sched.batch_cap", static_cast<std::int64_t>(s.inbox_batch_cap),
-               "tasks", "scheduler");
-    sink.counter("sched.steal_misses", s.steal_misses, "sweeps", "scheduler");
     sink.counter("sched.steal_attempts", s.steal_attempts, "sweeps", "scheduler");
     sink.counter("sched.steal_fails", s.steal_fails, "sweeps", "scheduler");
     sink.counter("sched.inbox_drains", s.inbox_drains, "drains", "scheduler");

@@ -200,7 +200,7 @@ class Runtime {
   /// prune scans) aggregated across shards.
   [[nodiscard]] DepIndexStats dep_index_stats() const { return tracker_.stats(); }
 
-  /// Scheduler observability (adaptive batch cap, steal misses, depth).
+  /// Scheduler observability (depth, steal sweeps, inbox drains).
   [[nodiscard]] SchedulerStats sched_stats() const { return sched_->stats(); }
 
   [[nodiscard]] bool helping_taskwait() const noexcept { return help_taskwait_; }

@@ -1,7 +1,6 @@
 #include "runtime/scheduler.hpp"
 
 #include <thread>
-#include <utility>
 
 #include "common/timing.hpp"
 
@@ -31,41 +30,15 @@ std::unique_ptr<Scheduler> Scheduler::make(SchedPolicy policy, unsigned workers,
   return std::make_unique<CentralScheduler>(tracer);
 }
 
-namespace {
-/// Ring distance between two lane ids on a `total`-lane ring (>= 1 for
-/// distinct lanes); the victim-distance histogram's sample value.
-[[nodiscard]] unsigned ring_distance(unsigned a, unsigned b, unsigned total) noexcept {
-  const unsigned d = a > b ? a - b : b - a;
-  return d < total - d ? d : total - d;
-}
-}  // namespace
-
 StealScheduler::StealScheduler(unsigned workers, TraceRecorder* tracer,
                                obs::MetricsRegistry* metrics)
     : workers_(workers > 0 ? workers : 1),
       inbox_mask_((workers_ & (workers_ - 1)) == 0 ? workers_ - 1 : 0),
       tracer_(tracer) {
-  const unsigned total = lane_count();
-  slots_.reserve(total);
-  for (unsigned w = 0; w < total; ++w) {
-    auto slot = std::make_unique<WorkerSlot>();
-    // Locality-ordered victim ring: nearest lane ids first, widening
-    // outward, probe direction alternating by lane parity. Every lane gets
-    // a distinct order (its own ring) so idle thieves fan out across the
-    // pool instead of mobbing one victim.
-    slot->victim_order.reserve(total - 1);
-    for (unsigned d = 1; d <= total / 2; ++d) {
-      unsigned first = (w + d) % total;
-      unsigned second = (w + total - d) % total;
-      if ((w & 1U) != 0) std::swap(first, second);
-      slot->victim_order.push_back(first);
-      if (second != first) slot->victim_order.push_back(second);
-    }
-    slots_.push_back(std::move(slot));
-  }
+  slots_.reserve(lane_count());
+  for (unsigned w = 0; w < lane_count(); ++w) slots_.push_back(std::make_unique<WorkerSlot>());
   if (metrics != nullptr) {
     steal_batch_hist_ = metrics->histogram("sched.steal_batch_size", "tasks", "sched");
-    victim_distance_hist_ = metrics->histogram("sched.victim_distance", "lanes", "sched");
   }
 }
 
@@ -158,18 +131,16 @@ Task* StealScheduler::take_inbox_chain(WorkerSlot& victim, std::size_t* n) {
   return ordered;
 }
 
-Task* StealScheduler::adopt_chain(WorkerSlot& me, Task* chain, std::size_t n,
-                                  std::uint32_t cap) {
+Task* StealScheduler::adopt_chain(WorkerSlot& me, Task* chain, std::size_t n) {
   // Install a drained inbox chain (submission order) as `me`'s private
-  // batch: the first `cap` tasks become two-pointer-move acquisitions, the
-  // remainder spills to the deque where other thieves can reach it. The
+  // batch: the first kInboxBatch tasks become two-pointer-move acquisitions,
+  // the remainder spills to the deque where other thieves can reach it. The
   // batched tasks leave the globally-visible pool now: account them in one
-  // bulk decrement instead of one per task (the batch_size gauge keeps them
-  // visible to starvation detection). Returns the first task, consumed.
+  // bulk decrement instead of one per task. Returns the first task, consumed.
   me.batch_head = chain;
   Task* tail = chain;
   std::size_t kept = 1;
-  for (; kept < cap; ++kept) {
+  for (; kept < kInboxBatch; ++kept) {
     // mo: relaxed — exclusively-owned chain walk (drained above).
     Task* next = tail->inbox_next.load(std::memory_order_relaxed);
     if (next == nullptr) break;
@@ -192,35 +163,7 @@ Task* StealScheduler::adopt_chain(WorkerSlot& me, Task* chain, std::size_t n,
   // mo: relaxed — batch links are owner-private from here on.
   me.batch_head = task->inbox_next.load(std::memory_order_relaxed);
   task->inbox_next.store(nullptr, std::memory_order_relaxed);
-  me.batch_size.store(static_cast<std::uint32_t>(kept) - 1);
   return task;
-}
-
-Task* StealScheduler::adopt_batch(WorkerSlot& me, Task* const* tasks,
-                                  std::size_t n) {
-  // Install a steal_many() batch as `me`'s private FIFO — the same shape
-  // inbox adoption produces: tasks[0] is consumed now, tasks[1..n) chain
-  // through inbox_next in age order (oldest first, preserving the FIFO
-  // steal discipline). The winning top-CAS made the batch exclusively ours,
-  // so the links are plain owner-private writes; one bulk items_ decrement
-  // accounts the whole batch and batch_size keeps it visible to starvation
-  // detection, exactly like adopt_chain.
-  for (std::size_t i = 1; i < n; ++i) {
-    // mo: relaxed — exclusively-owned chain build.
-    tasks[i]->inbox_next.store(i + 1 < n ? tasks[i + 1] : nullptr,
-                               std::memory_order_relaxed);
-  }
-  me.batch_head = n > 1 ? tasks[1] : nullptr;
-  // mo: relaxed — the consumed task leaves every chain now.
-  tasks[0]->inbox_next.store(nullptr, std::memory_order_relaxed);
-  me.batch_size.store(static_cast<std::uint32_t>(n) - 1);
-  // mo: relaxed — bulk gauge decrement; see acquired() for the bound.
-  items_.fetch_sub(n, std::memory_order_relaxed);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    // mo: relaxed — depth sample is monitoring only.
-    tracer_->sample_depth(now_ns(), items_.load(std::memory_order_relaxed));
-  }
-  return tasks[0];
 }
 
 Task* StealScheduler::acquire_local(unsigned lane) {
@@ -232,7 +175,6 @@ Task* StealScheduler::acquire_local(unsigned lane) {
     // mo: relaxed — batch links are owner-private.
     slot.batch_head = task->inbox_next.load(std::memory_order_relaxed);
     task->inbox_next.store(nullptr, std::memory_order_relaxed);
-    slot.batch_size.store(slot.batch_size.load() - 1);
     if (tracer_ != nullptr && tracer_->enabled()) {
       // mo: relaxed — depth sample is monitoring only.
       tracer_->sample_depth(now_ns(), items_.load(std::memory_order_relaxed));
@@ -241,101 +183,41 @@ Task* StealScheduler::acquire_local(unsigned lane) {
   }
   if (Task* task = slot.deque.pop()) return acquired(task);
   // Drain the inbox wholesale: a k-task submission burst costs one exchange
-  // here, not k acquires. The first batch_cap_ stay in the private FIFO;
-  // the remainder spills to the deque where thieves can reach it. The cap
-  // trades deque-fence amortization against steal visibility: batched
-  // tasks are invisible to thieves until consumed, so the cap adapts —
-  // doubling per SUCCESSFUL drain while no thief has starved since this
-  // owner's last drain (an idle lane probing an empty inbox is not
-  // evidence that batching is safe, so empty probes leave it alone),
-  // halved (in acquire_steal) whenever a sweep misses while work exists.
+  // here, not k acquires.
   std::size_t n = 0;
   Task* chain = take_inbox_chain(slot, &n);
   if (chain == nullptr) return nullptr;
   slot.inbox_drains.store(slot.inbox_drains.load() + 1);
   slot.inbox_drained_tasks.store(slot.inbox_drained_tasks.load() + n);
-  // mo: relaxed — the miss counter and cap are heuristics; stale reads only
-  // delay an adaptation step.
-  const std::uint64_t misses = steal_misses_.load(std::memory_order_relaxed);
-  std::uint32_t cap = batch_cap_.load(std::memory_order_relaxed);
-  if (misses == slot.last_misses) {
-    if (cap < kBatchMax) {
-      cap *= 2;
-      // mo: relaxed — heuristic knob; no data is published through it.
-      batch_cap_.store(cap, std::memory_order_relaxed);
-    }
-  } else {
-    slot.last_misses = misses;
-  }
-  return adopt_chain(slot, chain, n, cap);
+  return adopt_chain(slot, chain, n);
 }
 
 Task* StealScheduler::acquire_steal(unsigned lane) {
   WorkerSlot& me = *slots_[lane];
-  // One full sweep over the other lanes (workers + the helper slot) in this
-  // lane's locality ring order, starting at the last productive victim:
-  // deque top first (steal-half — up to half the victim's backlog in one
-  // CAS, bounded by the adaptive batch cap), then the victim's inbox so a
+  // One sweep over the other lanes (workers + the helper slot), starting at
+  // lane + 1: the victim's deque top first, then its inbox so a
   // long-running victim cannot strand external submissions behind its back.
-  bool hoarded = false;
   me.steal_attempts.store(me.steal_attempts.load() + 1);
-  // mo: relaxed — the cap is a heuristic; any recent value serves.
-  const auto cap = static_cast<std::size_t>(batch_cap_.load(std::memory_order_relaxed));
-  Task* batch[WorkStealDeque::kMaxSteal];
-  const auto order_n = static_cast<std::uint32_t>(me.victim_order.size());
-  const std::uint32_t start = me.victim_cursor < order_n ? me.victim_cursor : 0;
-  for (std::uint32_t i = 0; i < order_n; ++i) {
-    const std::uint32_t idx = start + i < order_n ? start + i : start + i - order_n;
-    const std::uint32_t v = me.victim_order[idx];
+  const unsigned total = lane_count();
+  for (unsigned i = 1; i < total; ++i) {
+    const unsigned v = lane + i < total ? lane + i : lane + i - total;
     WorkerSlot& victim = *slots_[v];
-    if (const std::size_t got = victim.deque.steal_many(batch, cap)) {
-      me.victim_cursor = idx;  // keep milking a productive victim
-      me.backoff_skip = 0;
-      me.backoff_width = 0;
-      if (steal_batch_hist_ != nullptr) steal_batch_hist_->record(got);
-      if (victim_distance_hist_ != nullptr) {
-        victim_distance_hist_->record(ring_distance(lane, v, lane_count()));
-      }
-      return adopt_batch(me, batch, got);
+    if (Task* task = victim.deque.steal()) {
+      if (steal_batch_hist_ != nullptr) steal_batch_hist_->record(1);
+      return acquired(task);
     }
     // Adopt the victim's stranded inbox as our own batch (+ deque spill):
-    // redistributes a whole burst in one exchange, and the adopted tasks
-    // cost two pointer moves each instead of a deque fence round trip —
-    // this is the helper's main acquisition path during a wave drain.
+    // redistributes a whole burst in one exchange — this is the helper's
+    // main acquisition path during a wave drain.
     std::size_t n = 0;
     if (Task* chain = take_inbox_chain(victim, &n)) {
-      me.victim_cursor = idx;
-      me.backoff_skip = 0;
-      me.backoff_width = 0;
-      if (victim_distance_hist_ != nullptr) {
-        victim_distance_hist_->record(ring_distance(lane, v, lane_count()));
-      }
+      if (steal_batch_hist_ != nullptr) steal_batch_hist_->record(n);
       me.inbox_drains.store(me.inbox_drains.load() + 1);
       me.inbox_drained_tasks.store(me.inbox_drained_tasks.load() + n);
-      return adopt_chain(me, chain, n, static_cast<std::uint32_t>(cap));
+      return adopt_chain(me, chain, n);
     }
-    if (victim.batch_size.load() > 0) hoarded = true;
   }
-  me.victim_cursor = 0;  // full miss: restart at the nearest ring next time
-  // Full miss. Remember whether work existed — queued (items_) or hoarded
-  // in an owner's private batch; the miss is only COUNTED (and the batch
-  // cap halved) if this lane ends up parking with the flag set: a sweep
-  // that misses transiently between productive acquires is noise, but a
-  // lane that gives up and sleeps while work sits in someone's private
-  // batch genuinely starved because of batching.
-  // mo: relaxed — starvation heuristic; pop_blocking re-checks with seq_cst
-  // before actually sleeping.
-  me.missed_with_work = hoarded || items_.load(std::memory_order_relaxed) > 0;
   me.steal_fails.store(me.steal_fails.load() + 1);
-  // Exponential steal backoff: consecutive full misses double the number of
-  // sweeps this lane sits out (local acquires are never skipped), capped so
-  // the lane keeps re-probing. Any successful acquire resets it.
-  me.backoff_width = me.backoff_width == 0
-                         ? 1
-                         : (me.backoff_width * 2 < kBackoffMaxSkips
-                                ? me.backoff_width * 2
-                                : kBackoffMaxSkips);
-  me.backoff_skip = me.backoff_width;
   return nullptr;
 }
 
@@ -343,8 +225,6 @@ SchedulerStats StealScheduler::stats() const noexcept {
   SchedulerStats s;
   // mo: relaxed — racy monitoring snapshot by contract.
   s.depth = items_.load(std::memory_order_relaxed);
-  s.inbox_batch_cap = batch_cap_.load(std::memory_order_relaxed);
-  s.steal_misses = steal_misses_.load(std::memory_order_relaxed);
   for (const auto& slot : slots_) {
     s.steal_attempts += slot->steal_attempts.load();
     s.steal_fails += slot->steal_fails.load();
@@ -354,35 +234,8 @@ SchedulerStats StealScheduler::stats() const noexcept {
   return s;
 }
 
-void StealScheduler::note_starved(unsigned lane) {
-  WorkerSlot& me = *slots_[lane];
-  if (!me.missed_with_work) return;
-  me.missed_with_work = false;
-  // mo: relaxed — heuristic counters/knobs; no data published through them.
-  steal_misses_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint32_t cap = batch_cap_.load(std::memory_order_relaxed);
-  if (cap > kBatchMin) {
-    batch_cap_.store(cap / 2 > kBatchMin ? cap / 2 : kBatchMin,
-                     std::memory_order_relaxed);
-  }
-}
-
 Task* StealScheduler::try_pop(unsigned lane) {
-  WorkerSlot& me = *slots_[lane];
-  if (Task* task = acquire_local(lane)) {
-    // Work arrived locally: stop sitting out steal sweeps.
-    me.backoff_skip = 0;
-    me.backoff_width = 0;
-    return task;
-  }
-  if (me.backoff_skip > 0) {
-    // Steal backoff: sit this sweep out (the caller yields between rounds),
-    // so an idle lane stops hammering every victim's top cacheline. The
-    // budget is finite and local work was just checked, so no task is ever
-    // stranded behind the skip.
-    --me.backoff_skip;
-    return nullptr;
-  }
+  if (Task* task = acquire_local(lane)) return task;
   return acquire_steal(lane);
 }
 
@@ -402,7 +255,6 @@ Task* StealScheduler::pop_blocking(unsigned worker) {
     }
     // mo: acquire pairs with shutdown()'s release store.
     if (shutdown_.load(std::memory_order_acquire)) continue;  // drain, never park
-    note_starved(worker);
 
     // Park. Register as a sleeper first (seq_cst, pairing with note_push),
     // then re-check for work under the lock: a push that raced our
@@ -437,7 +289,6 @@ Task* StealScheduler::helper_pop(const std::function<bool()>& quit) {
       if (Task* task = try_pop(lane)) return task;
       std::this_thread::yield();
     }
-    note_starved(lane);
     // Park on the shared lot. Same seq_cst sleeper/item pairing as the
     // workers, with the quit condition folded into the wait loop — the
     // runtime calls notify_helpers() when it flips, so the wakeup is

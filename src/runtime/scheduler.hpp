@@ -5,14 +5,14 @@
 //    (ReadyQueue). Every push and pop crosses the same lock; kept as the
 //    A/B baseline (`--sched central`).
 //  * StealScheduler — per-worker Chase-Lev deques (LIFO local push/pop,
-//    FIFO steals) + per-worker inboxes for external submissions (the master
-//    round-robins across them), with a spin-then-steal-then-park idle
-//    protocol. This is the default: it removes the central lock from the
-//    task hot path.
+//    single-task FIFO steals) + per-worker inboxes for external submissions
+//    (the master round-robins across them), with one acquire path and a
+//    spin-then-park idle protocol. This is the default: it removes the
+//    central lock from the task hot path.
 //
-// PR 5 adds the helper lane: a transient extra slot through which the
-// master drains and steals tasks while it sits at a taskwait (helping
-// barrier) instead of parking — see Runtime::taskwait. The helper shares
+// The helper lane is a transient extra slot through which the master
+// drains and steals tasks while it sits at a taskwait (helping barrier)
+// instead of parking — see Runtime::taskwait. The helper shares
 // the workers' parking lot, so push wakeups, shutdown, and the
 // all-tasks-done notification use one protocol.
 //
@@ -51,9 +51,7 @@ enum class SchedPolicy : std::uint8_t {
 
 /// Point-in-time scheduler observability (gauges + monotonic counters).
 struct SchedulerStats {
-  std::size_t depth = 0;            ///< tasks queued across all structures
-  std::size_t inbox_batch_cap = 0;  ///< adaptive worker-private batch cap (steal only)
-  std::uint64_t steal_misses = 0;   ///< full sweeps that found nothing while work existed
+  std::size_t depth = 0;                ///< tasks queued across all structures
   std::uint64_t steal_attempts = 0;     ///< full steal sweeps started (steal only)
   std::uint64_t steal_fails = 0;        ///< sweeps that returned empty-handed
   std::uint64_t inbox_drains = 0;       ///< wholesale inbox-chain drains
@@ -105,8 +103,7 @@ class Scheduler {
 
   /// Factory for a policy. `workers` is the worker-thread count; `tracer`
   /// (nullable) receives ready-depth samples when tracing is enabled;
-  /// `metrics` (nullable) receives the steal histograms
-  /// (sched.steal_batch_size, sched.victim_distance).
+  /// `metrics` (nullable) receives the sched.steal_batch_size histogram.
   [[nodiscard]] static std::unique_ptr<Scheduler> make(
       SchedPolicy policy, unsigned workers, TraceRecorder* tracer,
       obs::MetricsRegistry* metrics = nullptr);
@@ -160,32 +157,13 @@ class CentralScheduler final : public Scheduler {
 /// the master blocks inside a long task.
 ///
 /// Acquire order for lane w (try_pop):
-///   1. own deque (LIFO — hottest task first),
-///   2. own inbox, drained wholesale into a private batch + deque spill (a
-///      burst of master submissions costs one exchange here, not one
-///      acquire per task),
-///   3. steal: sweep the other lanes in the lane's locality ring order,
-///      first their deque tops (steal-half: up to half the victim's deque
-///      in one CAS, installed as the thief's private batch), then their
-///      inboxes — adopted the same way, so a victim stuck in a long task
-///      cannot strand external submissions.
-///
-/// Victim selection walks a per-lane precomputed ring order — nearest lane
-/// ids first, then widening rings, direction alternating by lane parity —
-/// so thieves prefer neighbors (same core complex / NUMA node under any
-/// sane thread layout) and never herd onto lane 0 the way a flat sweep
-/// seeded at zero does. A productive victim is remembered (the next sweep
-/// starts there); a full miss resets to the nearest ring AND bumps the
-/// lane's exponential steal backoff — the next backoff_skip try_pop calls
-/// skip the sweep entirely, so at high worker counts idle lanes stop
-/// hammering every deque's top cacheline while one producer works.
-/// Backoff resets the moment any acquire succeeds.
-///
-/// The private batch is capped adaptively (kBatchMin..kBatchMax): it grows
-/// while no thief has starved recently (fewer deque fences per task) and
-/// halves whenever a full steal sweep misses while work exists — batched
-/// tasks are invisible to thieves, so starvation is the signal that the
-/// batch is hoarding.
+///   1. own private batch (two pointer moves, no deque fence),
+///   2. own deque (LIFO — hottest task first),
+///   3. own inbox, drained wholesale: the first kInboxBatch tasks become the
+///      private batch, the rest spill to the deque where thieves see them,
+///   4. sweep the other lanes starting at w+1: each victim's deque top (one
+///      task), then its inbox chain — adopted like step 3, so a victim stuck
+///      in a long task cannot strand external submissions.
 ///
 /// Idle protocol (pop_blocking): spin a bounded number of acquire rounds
 /// (yielding, so oversubscribed containers do not burn the core), then park
@@ -212,15 +190,10 @@ class StealScheduler final : public Scheduler {
   }
   [[nodiscard]] SchedulerStats stats() const noexcept override;
 
-  /// Adaptive batch-cap bounds (exposed for tests/benches).
-  static constexpr std::uint32_t kBatchMin = 64;
-  static constexpr std::uint32_t kBatchMax = 512;
-  /// Steal-backoff ceiling: after this many consecutive full-miss sweeps'
-  /// worth of doubling, a lane skips at most this many sweeps per miss.
-  /// Bounded so a lane re-probes within tens of microseconds — liveness
-  /// additionally holds because local work is never skipped and pushers
-  /// wake parked lanes through the lot.
-  static constexpr std::uint32_t kBackoffMaxSkips = 32;
+  /// Private-batch size per inbox drain. Batched tasks cost no deque fence
+  /// but are invisible to thieves until consumed; 64 keeps a drained burst
+  /// cheap while the spill beyond it stays stealable.
+  static constexpr std::uint32_t kInboxBatch = 64;
 
  private:
   struct alignas(64) WorkerSlot {
@@ -230,32 +203,10 @@ class StealScheduler final : public Scheduler {
     /// sweeps skip empty inboxes with one relaxed load of this pointer.
     std::atomic<Task*> inbox_head{nullptr};
     /// Owner-private FIFO of drained inbox tasks (chained via inbox_next):
-    /// consuming one is two pointer moves — no deque fence. Capped at the
-    /// adaptive batch cap per drain; the remainder spills to the deque so
-    /// thieves still see a stuck owner's backlog.
+    /// consuming one is two pointer moves — no deque fence. At most
+    /// kInboxBatch per drain; the remainder spills to the deque so thieves
+    /// still see a stuck owner's backlog.
     Task* batch_head = nullptr;
-    /// Tasks left in the private batch: owner-written (relaxed store per
-    /// consume — one cacheline it owns anyway), racily read by thieves to
-    /// tell "work is hoarded in a batch" apart from "system is empty".
-    AtomicCell<std::uint32_t> batch_size{0};
-    /// steal_misses_ snapshot at this owner's last drain: unchanged misses
-    /// since then == no thief starved recently == safe to grow the cap.
-    std::uint64_t last_misses = 0;
-    /// Set by a full steal sweep that missed while work existed (queued or
-    /// batch-hoarded); consumed by note_starved when the lane parks.
-    bool missed_with_work = false;
-    /// Index into victim_order where the next sweep starts: the position of
-    /// the last productive victim (keep milking it), reset to 0 (nearest
-    /// ring) on a full miss.
-    std::uint32_t victim_cursor = 0;
-    /// Locality-ordered victim lanes: nearest ring distance first, widening
-    /// outward, probe direction alternating by lane parity (the per-lane
-    /// seed that stops thieves herding). Built once at construction.
-    std::vector<std::uint32_t> victim_order;
-    /// Exponential steal backoff (owner-private): current skip budget and
-    /// the doubling width it refills from on each consecutive full miss.
-    std::uint32_t backoff_skip = 0;
-    std::uint32_t backoff_width = 0;
     /// Observability counters, written only by the lane that owns this slot
     /// (the thief/drainer writes its OWN slot, never the victim's), racily
     /// summed by stats(). Same cache line the owner already dirties.
@@ -270,17 +221,11 @@ class StealScheduler final : public Scheduler {
   /// Exchange `victim`'s inbox chain out and return it in submission order
   /// (count in *n). nullptr when empty (or a producer is mid-publish).
   static Task* take_inbox_chain(WorkerSlot& victim, std::size_t* n);
-  /// Install a drained chain as `me`'s private batch (first `cap` tasks) +
-  /// deque spill, account it, and return the first task.
-  Task* adopt_chain(WorkerSlot& me, Task* chain, std::size_t n, std::uint32_t cap);
-  /// Install a steal_many() batch (age order, exclusively owned) as `me`'s
-  /// private batch, account it, and return the first task.
-  Task* adopt_batch(WorkerSlot& me, Task* const* tasks, std::size_t n);
+  /// Install a drained chain as `me`'s private batch (first kInboxBatch
+  /// tasks) + deque spill, account it, and return the first task.
+  Task* adopt_chain(WorkerSlot& me, Task* chain, std::size_t n);
   [[nodiscard]] Task* acquire_local(unsigned lane);
   [[nodiscard]] Task* acquire_steal(unsigned lane);
-  /// Called when `lane` is about to park: if its last sweep missed while
-  /// work existed, count a steal miss and halve the batch cap.
-  void note_starved(unsigned lane);
 
   [[nodiscard]] unsigned lane_count() const noexcept { return workers_ + 1; }
 
@@ -292,16 +237,9 @@ class StealScheduler final : public Scheduler {
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
 
   /// Tasks across all deques + inboxes; also the Figure-8 depth signal.
-  /// (Worker-private batches are excluded — they are committed to an owner;
-  /// thieves detect them via the per-slot batch_size gauge instead.)
+  /// (Worker-private batches are excluded — they are committed to an owner.)
   std::atomic<std::size_t> items_{0};
   std::atomic<bool> shutdown_{false};
-
-  /// Adaptive private-batch cap shared by all owners (kBatchMin..kBatchMax).
-  std::atomic<std::uint32_t> batch_cap_{kBatchMin};
-  /// Full steal sweeps that found nothing while work existed (queued or
-  /// batch-hoarded): the starvation signal that shrinks batch_cap_.
-  std::atomic<std::uint64_t> steal_misses_{0};
 
   std::atomic<int> sleepers_{0};
   /// Parking lot only — never on the task hot path: pushers touch it solely
@@ -310,11 +248,10 @@ class StealScheduler final : public Scheduler {
   CondVar park_cv_;
 
   TraceRecorder* tracer_;
-  /// Steal observability (nullable; owned by the registry). Recording is
-  /// one relaxed increment on a thread-owned shard, and only on successful
-  /// steals — amortized over the whole stolen batch.
+  /// Tasks per successful steal: 1 per deque steal, the chain length per
+  /// inbox adoption (nullable; owned by the registry). Recording is one
+  /// relaxed increment on a thread-owned shard.
   obs::LatencyHistogram* steal_batch_hist_ = nullptr;
-  obs::LatencyHistogram* victim_distance_hist_ = nullptr;
 };
 
 }  // namespace atm::rt

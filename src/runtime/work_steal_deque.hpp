@@ -3,24 +3,12 @@
 // for Weak Memory Models" (PPoPP'13).
 //
 // One owner thread pushes and pops at the bottom (LIFO — the task it just
-// made ready is the hottest in cache); any number of thief threads steal from
-// the top (FIFO — thieves take the oldest task, which tends to root the
-// largest untouched subtree). All operations are lock-free.
-//
-// Steal-half extension (PR 10): steal_many() lets a thief claim up to half
-// the deque — bounded by kMaxSteal — with ONE top CAS, amortizing the
-// fence/CAS round trip over a batch. Batch claims change the owner/thief
-// race: in the classic protocol the owner takes the bottom slot without a
-// CAS whenever more than one element remains, because a thief can only claim
-// the single top slot. With batch claims of up to kMaxSteal slots, the
-// owner's free bottom-take is only safe while the deque holds at least
-// kMaxSteal elements (no thief claim, which always starts at top and spans
-// at most kMaxSteal slots, can reach the bottom slot). Once the deque is
-// shorter than that, pop() switches to consuming from the TOP via the same
-// CAS the thieves use, racing them slot-for-slot. The last kMaxSteal tasks
-// of a run are therefore popped FIFO instead of LIFO — a cache-warmth
-// trade, not a correctness one — while long deques (the storm steady state,
-// where inbox spills keep hundreds queued) keep the CAS-free owner path.
+// made ready is the hottest in cache); any number of thief threads steal one
+// task at a time from the top (FIFO — thieves take the oldest task, which
+// tends to root the largest untouched subtree). All operations are lock-free.
+// The owner takes the bottom slot without a CAS whenever more than one
+// element remains; only the last element is contested, and that one is
+// claimed with the same top CAS the thieves use.
 //
 // The circular buffer grows geometrically and never shrinks. Retired buffers
 // are kept alive until the deque is destroyed: a thief may still be reading a
@@ -74,12 +62,6 @@ inline void deque_fence(std::memory_order order) noexcept {
 
 class WorkStealDeque {
  public:
-  /// Hard per-steal batch bound. The owner's CAS-free bottom path (see the
-  /// file comment) requires b - t >= kMaxSteal, so raising this makes the
-  /// owner pay a top-CAS on longer tails; 32 already amortizes the steal
-  /// fence 32x while keeping the owner's CAS tail short.
-  static constexpr std::size_t kMaxSteal = 32;
-
   explicit WorkStealDeque(std::size_t initial_capacity = 256)
       : buffer_(new Buffer(round_up_pow2(initial_capacity))) {}
 
@@ -112,9 +94,7 @@ class WorkStealDeque {
     bottom_.store(b + 1, detail::relax_unless_tsan(std::memory_order_relaxed));
   }
 
-  /// Owner only: pop a task; nullptr when empty. LIFO (bottom) while at
-  /// least kMaxSteal elements remain, FIFO (top, via CAS) below that — see
-  /// the file comment for why batch steals force the switch.
+  /// Owner only: pop the newest task (LIFO); nullptr when empty.
   Task* pop() {
     // mo: relaxed — bottom/buffer are owner-private; the seq_cst fence below
     // provides the only cross-thread ordering pop needs.
@@ -122,10 +102,9 @@ class WorkStealDeque {
     Buffer* buf = buffer_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
     bottom_.store(b, detail::relax_unless_tsan(std::memory_order_relaxed));
     // mo: seq_cst fence — the bottom store must be ordered before the top
-    // load (store-load), mirroring the fence in steal_many(): either the
-    // owner sees a fresh-enough top, or the thief sees the reserved bottom
-    // and caps its claim below slot b. mo: relaxed top load — the fence
-    // carries the ordering.
+    // load (store-load), mirroring the fence in steal(): either the owner
+    // sees a fresh-enough top, or the thief sees the reserved bottom and
+    // backs off slot b. mo: relaxed top load — the fence carries the ordering.
     detail::deque_fence(std::memory_order_seq_cst);
     std::int64_t t = top_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
     if (t > b) {
@@ -133,33 +112,20 @@ class WorkStealDeque {
       bottom_.store(b + 1, detail::relax_unless_tsan(std::memory_order_relaxed));
       return nullptr;
     }
-    if (b - t >= static_cast<std::int64_t>(kMaxSteal)) {
-      // Long deque: every batch claim spans [t', t'+k) with k <= kMaxSteal
-      // and t' <= t (the fence pair above makes this top read at least as
-      // fresh as that of any thief whose bottom read predates our
-      // reservation), so no live claim can reach slot b. Take it CAS-free.
-      // mo: relaxed slot load — the owner published this slot itself.
-      return buf->slot(b).load(detail::relax_unless_tsan(std::memory_order_relaxed));
-    }
-    // Short deque: slot b may sit inside a thief's batch claim. Give the
-    // bottom reservation back and consume from the top instead, claiming
-    // slot t with the same CAS the thieves use — every slot is then handed
-    // out by exactly one winning top-CAS.
-    // mo: relaxed — bottom is owner-private.
-    bottom_.store(b + 1, detail::relax_unless_tsan(std::memory_order_relaxed));
-    while (t <= b) {
-      // mo: relaxed slot load — read before the claiming CAS, the same
-      // idiom as steal(): the slot cannot be overwritten while top == t
-      // (push bounds b - top below capacity), and a failed CAS discards it.
-      Task* task = buf->slot(t).load(detail::relax_unless_tsan(std::memory_order_relaxed));
-      // mo: seq_cst CAS — claims slot t against the thieves; relaxed on
-      // failure (the reloaded expected value restarts the loop).
-      if (top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                       detail::relax_unless_tsan(std::memory_order_relaxed))) {
-        return task;
+    // mo: relaxed slot load — the owner published this slot itself.
+    Task* task = buf->slot(b).load(detail::relax_unless_tsan(std::memory_order_relaxed));
+    if (t == b) {
+      // Last element: a thief may be claiming slot t == b right now, so take
+      // it with the thieves' CAS. mo: seq_cst CAS — claims the element
+      // against the thieves; relaxed on failure (a thief won it).
+      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                        detail::relax_unless_tsan(std::memory_order_relaxed))) {
+        task = nullptr;
       }
+      // mo: relaxed — bottom is owner-private; the deque is empty either way.
+      bottom_.store(b + 1, detail::relax_unless_tsan(std::memory_order_relaxed));
     }
-    return nullptr;  // thieves drained the tail
+    return task;
   }
 
   /// Thieves: steal the oldest task; nullptr when empty or lost a race.
@@ -185,58 +151,13 @@ class WorkStealDeque {
     return task;
   }
 
-  /// Thieves: steal up to half the deque (at most min(max_n, kMaxSteal)
-  /// tasks, oldest first) with one top CAS. Writes the claimed tasks to
-  /// out[0..k) in age order and returns k; 0 when empty or a race was lost.
-  /// Claims are all-or-nothing: a lost CAS claims no slots.
-  std::size_t steal_many(Task** out, std::size_t max_n) {
-    // mo: acquire top — pairs with the winning CAS of other thieves.
-    std::int64_t t = top_.load(detail::relax_unless_tsan(std::memory_order_acquire));
-    // mo: seq_cst fence — order the top load before the bottom load (the
-    // load-load mirror of the fence in pop()); this pairing is what lets
-    // the owner's long-deque guard bound every batch claim (see pop()).
-    detail::deque_fence(std::memory_order_seq_cst);
-    // mo: acquire bottom/buffer — pair with push()'s release so the slot
-    // contents (and a grown buffer) are visible before we read the slots.
-    const std::int64_t b = bottom_.load(detail::relax_unless_tsan(std::memory_order_acquire));
-    const std::int64_t n = b - t;
-    if (n <= 0) return 0;
-    // Take half (rounded up, so a 1-element deque is still stealable),
-    // bounded by the caller's cap and the protocol bound kMaxSteal that the
-    // owner's pop() relies on.
-    std::int64_t k = (n + 1) / 2;
-    if (k > static_cast<std::int64_t>(max_n)) k = static_cast<std::int64_t>(max_n);
-    if (k > static_cast<std::int64_t>(kMaxSteal)) k = static_cast<std::int64_t>(kMaxSteal);
-    if (k <= 0) return 0;
-    // mo: acquire buffer — pair with grow()'s release store so a just-grown
-    // buffer's slot array is fully visible before the relaxed slot reads.
-    Buffer* buf = buffer_.load(detail::relax_unless_tsan(std::memory_order_acquire));
-    for (std::int64_t i = 0; i < k; ++i) {
-      // mo: relaxed slot loads — read before the claiming CAS (same idiom
-      // as steal()): while top == t none of [t, t+k) can be overwritten
-      // (push bounds b - top below capacity), and a failed CAS discards
-      // everything read here.
-      out[i] = buf->slot(t + i).load(detail::relax_unless_tsan(std::memory_order_relaxed));
-    }
-    // mo: seq_cst CAS — claims all k slots against the owner and other
-    // thieves in one shot; relaxed on failure (the reads are discarded —
-    // no partial claim).
-    if (!top_.compare_exchange_strong(t, t + k, std::memory_order_seq_cst,
-                                      detail::relax_unless_tsan(std::memory_order_relaxed))) {
-      return 0;
-    }
-    return static_cast<std::size_t>(k);
-  }
-
-  /// Racy size estimate (monitoring/backoff only, never for correctness).
+  /// Racy size estimate (monitoring only, never for correctness).
   [[nodiscard]] std::size_t size_estimate() const noexcept {
     // mo: relaxed — racy estimate by contract.
     const std::int64_t b = bottom_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
     const std::int64_t t = top_.load(detail::relax_unless_tsan(std::memory_order_relaxed));
     return b > t ? static_cast<std::size_t>(b - t) : 0;
   }
-
-  [[nodiscard]] bool empty_estimate() const noexcept { return size_estimate() == 0; }
 
   [[nodiscard]] std::size_t capacity() const noexcept {
     // mo: relaxed — monitoring read; capacity is immutable per buffer.

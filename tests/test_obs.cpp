@@ -296,7 +296,7 @@ TEST(RuntimeMetrics, RegistryExportsAllFamiliesAfterRun) {
        {"runtime.tasks_submitted", "runtime.tasks_executed",
         "runtime.pending_tasks", "arena.slots", "arena.free_slots",
         "dep.exact_hits", "dep.tree_fallbacks", "dep.prune_scans",
-        "sched.depth", "sched.batch_cap", "sched.steal_attempts",
+        "sched.depth", "sched.steal_attempts",
         "sched.steal_fails", "sched.inbox_drains", "sched.inbox_drained_tasks",
         "sched.help_sessions", "sched.help_tasks"}) {
     EXPECT_NE(snap.find(name), nullptr) << name;

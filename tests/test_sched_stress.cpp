@@ -114,172 +114,6 @@ TEST(WorkStealDeque, GrowsUnderConcurrentSteals) {
   EXPECT_GE(deque.capacity(), 8u);
 }
 
-// --- steal_many (PR 10 steal-half) ------------------------------------------
-
-// Deterministic bounds: steal_many takes half the deque rounded up, clipped
-// by the caller's cap and the protocol bound kMaxSteal, oldest tasks first.
-TEST(WorkStealDeque, StealManyTakesHalfBounded) {
-  WorkStealDeque deque;
-  std::vector<Task> tasks(100);
-  Task* out[WorkStealDeque::kMaxSteal];
-
-  EXPECT_EQ(deque.steal_many(out, WorkStealDeque::kMaxSteal), 0u);  // empty
-
-  deque.push(&tasks[0]);
-  ASSERT_EQ(deque.steal_many(out, WorkStealDeque::kMaxSteal), 1u);  // ceil(1/2)
-  EXPECT_EQ(out[0], &tasks[0]);
-
-  for (int i = 0; i < 100; ++i) deque.push(&tasks[i]);
-  // ceil(100/2) = 50 clips to kMaxSteal = 32; the batch is the FIFO end.
-  ASSERT_EQ(deque.steal_many(out, WorkStealDeque::kMaxSteal),
-            WorkStealDeque::kMaxSteal);
-  for (std::size_t i = 0; i < WorkStealDeque::kMaxSteal; ++i) {
-    EXPECT_EQ(out[i], &tasks[i]) << i;
-  }
-  // The caller's cap binds when smaller than both half and kMaxSteal.
-  ASSERT_EQ(deque.steal_many(out, 3), 3u);
-  EXPECT_EQ(out[0], &tasks[WorkStealDeque::kMaxSteal]);
-
-  std::size_t remaining = 0;
-  while (deque.pop() != nullptr) ++remaining;
-  EXPECT_EQ(remaining, 100u - WorkStealDeque::kMaxSteal - 3u);
-}
-
-// The exactly-once property under batched stealing: owner pushes/pops in
-// random bursts while thieves hammer steal_many; every task is taken exactly
-// once across all batch claims, none lost, none duplicated.
-TEST(WorkStealDeque, StealManyOwnerVsThievesExactlyOnce) {
-  constexpr int kThieves = 4;
-  constexpr int kTasks = 20'000;
-  WorkStealDeque deque;
-  std::vector<Task> tasks(kTasks);
-
-  std::vector<std::uint8_t> taken(kTasks);
-  std::atomic<int> taken_count{0};
-  std::atomic<bool> done{false};
-  std::mutex take_mutex;  // serializes the ASSERT bookkeeping, not the deque
-
-  auto take = [&](Task* t) {
-    const auto idx = static_cast<std::size_t>(t - tasks.data());
-    ASSERT_LT(idx, tasks.size());
-    ASSERT_EQ(taken[idx], 0) << "task stolen/popped twice";
-    taken[idx] = 1;
-    taken_count.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  std::vector<std::thread> thieves;
-  for (int th = 0; th < kThieves; ++th) {
-    thieves.emplace_back([&] {
-      Task* batch[WorkStealDeque::kMaxSteal];
-      auto sweep = [&] {
-        const std::size_t got = deque.steal_many(batch, WorkStealDeque::kMaxSteal);
-        if (got > 0) {
-          std::lock_guard<std::mutex> lock(take_mutex);
-          // A batch must never exceed the protocol bound. (EXPECT, not
-          // ASSERT: the lambda returns a value, so it cannot early-return.)
-          EXPECT_LE(got, WorkStealDeque::kMaxSteal);
-          for (std::size_t i = 0; i < got; ++i) take(batch[i]);
-        }
-        return got;
-      };
-      while (!done.load(std::memory_order_acquire)) sweep();
-      while (sweep() > 0) {  // final drain
-      }
-    });
-  }
-
-  std::mt19937 rng(11);
-  int pushed = 0;
-  while (pushed < kTasks) {
-    const int burst = 1 + static_cast<int>(rng() % 64);
-    for (int i = 0; i < burst && pushed < kTasks; ++i) deque.push(&tasks[pushed++]);
-    const int pops = static_cast<int>(rng() % 8);
-    for (int i = 0; i < pops; ++i) {
-      if (Task* t = deque.pop()) {
-        std::lock_guard<std::mutex> lock(take_mutex);
-        take(t);
-      }
-    }
-  }
-  while (Task* t = deque.pop()) {
-    std::lock_guard<std::mutex> lock(take_mutex);
-    take(t);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-
-  EXPECT_EQ(taken_count.load(), kTasks);
-  EXPECT_EQ(deque.steal(), nullptr);
-  EXPECT_EQ(deque.pop(), nullptr);
-}
-
-// Mixed single steals and batch steals against a popping owner: the two
-// thief entry points must compose without violating exactly-once.
-TEST(WorkStealDeque, MixedStealAndStealManyExactlyOnce) {
-  constexpr int kTasks = 20'000;
-  WorkStealDeque deque;
-  std::vector<Task> tasks(kTasks);
-  std::vector<std::uint8_t> taken(kTasks);
-  std::atomic<int> taken_count{0};
-  std::atomic<bool> done{false};
-  std::mutex take_mutex;
-
-  auto take = [&](Task* t) {
-    const auto idx = static_cast<std::size_t>(t - tasks.data());
-    ASSERT_LT(idx, tasks.size());
-    ASSERT_EQ(taken[idx], 0) << "task stolen/popped twice";
-    taken[idx] = 1;
-    taken_count.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  std::thread batch_thief([&] {
-    Task* batch[WorkStealDeque::kMaxSteal];
-    auto sweep = [&] {
-      const std::size_t got = deque.steal_many(batch, 8);
-      std::lock_guard<std::mutex> lock(take_mutex);
-      for (std::size_t i = 0; i < got; ++i) take(batch[i]);
-      return got;
-    };
-    while (!done.load(std::memory_order_acquire)) sweep();
-    while (sweep() > 0) {
-    }
-  });
-  std::thread single_thief([&] {
-    auto sweep = [&]() -> Task* {
-      Task* t = deque.steal();
-      if (t != nullptr) {
-        std::lock_guard<std::mutex> lock(take_mutex);
-        take(t);
-      }
-      return t;
-    };
-    while (!done.load(std::memory_order_acquire)) sweep();
-    while (sweep() != nullptr) {
-    }
-  });
-
-  std::mt19937 rng(13);
-  int pushed = 0;
-  while (pushed < kTasks) {
-    const int burst = 1 + static_cast<int>(rng() % 32);
-    for (int i = 0; i < burst && pushed < kTasks; ++i) deque.push(&tasks[pushed++]);
-    if (rng() % 2 == 0) {
-      if (Task* t = deque.pop()) {
-        std::lock_guard<std::mutex> lock(take_mutex);
-        take(t);
-      }
-    }
-  }
-  while (Task* t = deque.pop()) {
-    std::lock_guard<std::mutex> lock(take_mutex);
-    take(t);
-  }
-  done.store(true, std::memory_order_release);
-  batch_thief.join();
-  single_thief.join();
-  EXPECT_EQ(taken_count.load(), kTasks);
-}
-
 // --- StealScheduler (scheduler-level, no runtime) ---------------------------
 
 // External pushes land round-robin and every worker can acquire every task
@@ -342,14 +176,12 @@ TEST(StealScheduler, LocalPushesAreStealable) {
   EXPECT_EQ(consumed.load(), static_cast<int>(tasks.size()));
 }
 
-// --- Victim backoff (PR 10) --------------------------------------------------
+// --- Idle lanes and the fixed inbox batch ----------------------------------
 
-// Local work is never skipped: a lane that accumulated maximum steal backoff
-// (every sweep missed) must still serve its own pushes on the very next
-// try_pop, and the backoff must reset so subsequent steals sweep again.
-TEST(StealScheduler, BackoffNeverSkipsLocalWork) {
+// Local work is never skipped: a lane whose steal sweeps all missed must
+// still serve its own pushes on the very next try_pop.
+TEST(StealScheduler, IdleLaneNeverSkipsLocalWork) {
   auto sched = Scheduler::make(SchedPolicy::Steal, 2, nullptr);
-  // Accumulate misses well past the 1 + 2 + ... + kBackoffMaxSkips ramp.
   for (int i = 0; i < 500; ++i) EXPECT_EQ(sched->try_pop(0), nullptr);
   Task local;
   sched->push(&local, /*lane=*/0);
@@ -357,31 +189,45 @@ TEST(StealScheduler, BackoffNeverSkipsLocalWork) {
   sched->shutdown();
 }
 
-// Backoff liveness: a thief whose sweeps all missed (so its skip budget is
-// maxed) must still acquire remote work within a bounded number of try_pop
-// calls — the budget is finite and resets on success.
-TEST(StealScheduler, BackoffedThiefStillStealsWithinBudget) {
+// A thief whose sweeps all missed steals remote work on every later try_pop:
+// no sweep is ever sat out, so kTasks calls acquire kTasks tasks.
+TEST(StealScheduler, IdleThiefStillStealsWithinBudget) {
   constexpr int kTasks = 64;
   auto sched = Scheduler::make(SchedPolicy::Steal, 2, nullptr);
   for (int i = 0; i < 500; ++i) EXPECT_EQ(sched->try_pop(1), nullptr);
   std::vector<Task> tasks(kTasks);
   for (auto& t : tasks) sched->push(&t, /*lane=*/0);  // all work on lane 0
   int got = 0;
-  // Worst case the thief skips kBackoffMaxSkips sweeps before each acquire;
-  // a generous call budget proves the skip counter cannot wedge the lane.
-  for (int i = 0; i < kTasks * (static_cast<int>(StealScheduler::kBackoffMaxSkips) + 2) &&
-                  got < kTasks;
-       ++i) {
+  for (int i = 0; i < kTasks; ++i) {
     if (sched->try_pop(1) != nullptr) ++got;
   }
   EXPECT_EQ(got, kTasks);
   sched->shutdown();
 }
 
-// Parked lanes must be woken by late pushes even after long idle spells that
-// maxed out every lane's backoff (the sleeper protocol, not the skip
-// counter, owns parking liveness).
-TEST(StealScheduler, LateWorkWakesBackedOffWorkers) {
+// One inbox drain keeps exactly kInboxBatch tasks private (the first is
+// returned at once) and spills the rest to the deque, where the helper lane
+// steals them one at a time; the private remainder stays with lane 0.
+TEST(StealScheduler, InboxDrainKeepsFixedBatch) {
+  constexpr int kTasks = 1000;
+  constexpr int kBatch = static_cast<int>(StealScheduler::kInboxBatch);
+  auto sched = Scheduler::make(SchedPolicy::Steal, 1, nullptr);
+  std::vector<Task> tasks(kTasks);
+  for (auto& t : tasks) sched->push(&t, /*lane=*/2);  // external: lane 0's inbox
+  ASSERT_NE(sched->try_pop(0), nullptr);
+  int helper = 0;
+  while (sched->try_pop(/*helper lane=*/1) != nullptr) ++helper;
+  int owner = 0;
+  while (sched->try_pop(0) != nullptr) ++owner;
+  EXPECT_EQ(helper, kTasks - kBatch);
+  EXPECT_EQ(owner, kBatch - 1);
+  EXPECT_EQ(sched->depth(), 0u);
+  sched->shutdown();
+}
+
+// Parked lanes must be woken by late pushes after long idle spells (the
+// sleeper protocol owns parking liveness).
+TEST(StealScheduler, LateWorkWakesParkedWorkers) {
   constexpr unsigned kWorkers = 4;
   constexpr int kTasks = 10'000;
   auto sched = Scheduler::make(SchedPolicy::Steal, kWorkers, nullptr);
@@ -395,7 +241,7 @@ TEST(StealScheduler, LateWorkWakesBackedOffWorkers) {
       }
     });
   }
-  // Let the workers run dry (spin through their backoff ramps and park).
+  // Let the workers run dry (spin through their acquire rounds and park).
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   for (int i = 0; i < kTasks; ++i) sched->push(&tasks[i], /*lane=*/kWorkers);
   while (consumed.load(std::memory_order_relaxed) < kTasks) {

@@ -38,8 +38,7 @@
 //                          with app=all, FILE gains a per-app suffix
 //   --stats                print runtime observability per app: two-level
 //                          dependence-index counters (exact hits / tree
-//                          fallbacks / prune scans) and scheduler gauges
-//                          (adaptive inbox batch cap, steal misses)
+//                          fallbacks / prune scans)
 //   --stats-json=FILE      dump the end-of-run metrics-registry snapshot
 //                          (every counter/gauge/histogram by name) as JSON
 //   --metrics-json=FILE    run the background sampler and dump its time
@@ -339,15 +338,12 @@ void run_one(const App& app, const Options& opts, TablePrinter* table,
 
   if (stats_table != nullptr) {
     // Runtime observability: the two-level dependence-index counters (is
-    // the submit path exact-dominated? are prune scans pathological?) and
-    // the steal scheduler's adaptive-batch state.
+    // the submit path exact-dominated? are prune scans pathological?).
     stats_table->add_row({
         app.name(),
         std::to_string(run.atm.dep_exact_hits),
         std::to_string(run.atm.dep_tree_fallbacks),
         std::to_string(run.atm.prune_scans),
-        std::to_string(run.sched.inbox_batch_cap),
-        std::to_string(run.sched.steal_misses),
     });
   }
 
@@ -414,8 +410,7 @@ int main(int argc, char** argv) {
     header.push_back("MaxRelErr");
   }
   TablePrinter table(std::move(header));
-  TablePrinter stats_table({"Benchmark", "Dep exact", "Dep tree", "Prune scans",
-                            "Batch cap", "Steal miss"});
+  TablePrinter stats_table({"Benchmark", "Dep exact", "Dep tree", "Prune scans"});
 
   TablePrinter* stats = opts.stats ? &stats_table : nullptr;
   if (opts.app == "all") {
